@@ -210,6 +210,44 @@ int RunDemo() {
 /// Sharded serve loop: joins scatter over a JoinRouter instead of queueing
 /// on a JoinService. `auto` still routes through the cost-based planner —
 /// but per shard, so methods can differ across strips of one query.
+/// Parses the "[pred] [method] [timeout_s]" tail of a serve-mode join or
+/// explain line into a request over the registered datasets "R" and "S".
+/// On an unknown predicate or method, prints an ERR line and returns
+/// nullopt.
+std::optional<JoinRequest> ParseServeRequest(std::istringstream& iss,
+                                             const CliFlags& flags) {
+  std::string pred_name = "intersects", method_name = "auto";
+  double timeout = 0.0;
+  iss >> pred_name >> method_name >> timeout;
+
+  // The names are move-assigned from temporaries: assigning the literals
+  // directly trips a false-positive -Wrestrict in GCC 12 at -O3.
+  JoinRequest request;
+  request.r_dataset = std::string("R");
+  request.s_dataset = std::string("S");
+  request.timeout_seconds = timeout;
+  request.refine_mode = flags.refine_mode;
+  if (pred_name == "intersects") {
+    request.predicate = SpatialPredicate::kIntersects;
+  } else if (pred_name == "contains") {
+    request.predicate = SpatialPredicate::kContains;
+  } else {
+    std::printf("ERR unknown predicate '%s'\n", pred_name.c_str());
+    std::fflush(stdout);
+    return std::nullopt;
+  }
+  if (method_name != "auto") {
+    const auto method = ParseJoinMethod(method_name);
+    if (!method.has_value()) {
+      std::printf("ERR unknown method '%s'\n", method_name.c_str());
+      std::fflush(stdout);
+      return std::nullopt;
+    }
+    request.method = *method;
+  }
+  return request;
+}
+
 int ServeSharded(const CliFlags& flags, const StoredRelation& r,
                  const StoredRelation& s) {
   ShardManagerConfig shard_config;
@@ -257,33 +295,9 @@ int ServeSharded(const CliFlags& flags, const StoredRelation& r,
       continue;
     }
 
-    std::string pred_name = "intersects", method_name = "auto";
-    double timeout = 0.0;
-    iss >> pred_name >> method_name >> timeout;
-
-    JoinRequest request;
-    request.r_dataset = "R";
-    request.s_dataset = "S";
-    request.timeout_seconds = timeout;
-    request.refine_mode = flags.refine_mode;
-    if (pred_name == "intersects") {
-      request.predicate = SpatialPredicate::kIntersects;
-    } else if (pred_name == "contains") {
-      request.predicate = SpatialPredicate::kContains;
-    } else {
-      std::printf("ERR unknown predicate '%s'\n", pred_name.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (method_name != "auto") {
-      const auto method = ParseJoinMethod(method_name);
-      if (!method.has_value()) {
-        std::printf("ERR unknown method '%s'\n", method_name.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      request.method = *method;
-    }
+    std::optional<JoinRequest> parsed = ParseServeRequest(iss, flags);
+    if (!parsed.has_value()) continue;
+    JoinRequest request = std::move(*parsed);
 
     auto response = router.Execute(std::move(request));
     if (!response.ok()) {
@@ -407,33 +421,9 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
       continue;
     }
 
-    std::string pred_name = "intersects", method_name = "auto";
-    double timeout = 0.0;
-    iss >> pred_name >> method_name >> timeout;
-
-    JoinRequest request;
-    request.r_dataset = "R";
-    request.s_dataset = "S";
-    request.timeout_seconds = timeout;
-    request.refine_mode = flags.refine_mode;
-    if (pred_name == "intersects") {
-      request.predicate = SpatialPredicate::kIntersects;
-    } else if (pred_name == "contains") {
-      request.predicate = SpatialPredicate::kContains;
-    } else {
-      std::printf("ERR unknown predicate '%s'\n", pred_name.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (method_name != "auto") {
-      const auto method = ParseJoinMethod(method_name);
-      if (!method.has_value()) {
-        std::printf("ERR unknown method '%s'\n", method_name.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      request.method = *method;
-    }
+    std::optional<JoinRequest> parsed = ParseServeRequest(iss, flags);
+    if (!parsed.has_value()) continue;
+    JoinRequest request = std::move(*parsed);
 
     if (cmd == "explain") {
       // Plan without executing: cost table, costed tree, exec-layer tree.

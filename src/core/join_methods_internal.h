@@ -1,57 +1,31 @@
 #ifndef PBSM_CORE_JOIN_METHODS_INTERNAL_H_
 #define PBSM_CORE_JOIN_METHODS_INTERNAL_H_
 
-// Implementation-internal entry points of the six join algorithms. These
-// are the functions the SpatialJoin facade (core/spatial_join.h) dispatches
-// to; they carry no tracing, metrics capture, or orientation handling of
-// their own. External callers — tests, benches, examples, the service —
-// go through the facade; only src/core/*.cc and the operator engine in
-// src/exec/*.cc include this header.
+// Implementation-internal building blocks of the join algorithms: the
+// filter step of each method and the real parallel PBSM executor. The exec
+// layer's operators (FilterJoinOp, ParallelJoinOp) wrap them, and the
+// SpatialJoin facade (core/spatial_join.h) drives those operators; tests,
+// benches, examples and the service go through the facade. Only
+// src/core/*.cc, the operator engine in src/exec/*.cc and tests of the
+// building blocks include this header.
 //
-// Each method exists in two granularities: the XxxJoin functions run
-// filter + refinement end to end (the legacy monolithic entry points), and
-// the XxxFilter functions run the filter step only, appending candidate
-// OID pairs to a caller-owned CandidateSorter — the form the exec layer's
-// FilterJoinOp wraps so refinement can live behind its own operator.
+// Each XxxFilter function runs its method's filter step only, appending
+// candidate OID pairs to a caller-owned CandidateSorter; the refinement
+// step is RefineCandidates (core/refinement.h) behind RefineOp.
 
 #include "common/status.h"
 #include "core/join_cost.h"
 #include "core/join_options.h"
 #include "core/parallel_stats.h"
 #include "core/refinement.h"
+#include "core/spatial_join.h"
 #include "rtree/rstar_tree.h"
 #include "storage/buffer_pool.h"
 
 namespace pbsm {
 
-/// The Partition Based Spatial-Merge join (the paper's §3).
-///
-/// Filter step: both inputs are scanned once; each tuple's key-pointer
-/// (<MBR, OID>) is routed by the tiled spatial partitioning function into
-/// one or more of P on-disk partitions (P from Equation 1 unless
-/// overridden). Each partition pair is then merged in memory with a
-/// plane-sweep rectangle join, producing candidate OID pairs.
-///
-/// Refinement step: candidates are sorted on (OID_R, OID_S) with duplicate
-/// elimination, tuples are fetched block-wise (R in physical order, S
-/// sequentially per block) and the candidate is settled exactly or through
-/// the adaptive cell-cover engine (opts.refine).
-///
-/// Partition pairs that exceed the memory budget are handled per §3.5:
-/// dynamically repartitioned with a finer tile grid (when
-/// opts.dynamic_repartition, an extension over the paper's implementation),
-/// falling back to chunked sweeps with S re-reads once the recursion depth
-/// is exhausted.
-///
-/// Returns the per-component cost breakdown; result pairs go to `sink`
-/// (which may be empty when only counts are needed).
-Result<JoinCostBreakdown> PbsmJoin(BufferPool* pool, const JoinInput& r,
-                                   const JoinInput& s, SpatialPredicate pred,
-                                   const JoinOptions& opts,
-                                   const ResultSink& sink = {});
-
-/// Real shared-memory parallel PBSM join (the threaded counterpart of the
-/// cost-model-only SimulateParallelPbsm). The phase structure depends on
+/// Real shared-memory parallel PBSM join (the paper's §5 direction, run on
+/// a work-stealing thread pool). The phase structure depends on
 /// opts.dedup_mode.
 ///
 /// kTwoLayer (default; duplicate-free, see core/two_layer_filter.h):
@@ -77,7 +51,7 @@ Result<JoinCostBreakdown> PbsmJoin(BufferPool* pool, const JoinInput& r,
 ///    and refined concurrently (each shard fetches disjoint R tuples
 ///    through the now thread-safe buffer pool).
 ///
-/// Produces exactly the de-duplicated result pairs of the serial PbsmJoin.
+/// Produces exactly the de-duplicated result pairs of serial PBSM.
 /// `sink` may be called concurrently from worker threads (calls are
 /// serialised internally, but arrival order is nondeterministic).
 ///
@@ -93,140 +67,30 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
                                            const ResultSink& sink = {},
                                            ParallelJoinStats* stats = nullptr);
 
-/// Indexed nested loops spatial join (the paper's §4.1).
-///
-/// `indexed` is the input carrying (or receiving) the R*-tree — the paper
-/// always indexes the smaller input when building from scratch; `probing`
-/// is scanned and probes the index tuple by tuple. For every probe hit the
-/// matching indexed tuple is fetched (a random I/O unless cached) and the
-/// exact predicate is evaluated immediately — INL has no separate
-/// refinement pass (and therefore ignores opts.refine).
-///
-/// When `preexisting_index` is non-null the build phase is skipped
-/// (Figures 14/15's INL-1-* variants); otherwise the index is bulk loaded
-/// and its cost appears as the "build index" component.
-///
-/// Predicate orientation: the join condition is written pred(L, R) over
-/// logical inputs; because INL may index either physical input, the caller
-/// states which side the indexed input plays. With `indexed_is_left` (the
-/// default) the exact test runs as pred(indexed, probing); otherwise as
-/// pred(probing, indexed). Symmetric predicates (kIntersects) are
-/// unaffected; containment joins must set this correctly.
-///
-/// Result pairs are emitted as (indexed, probing) regardless.
-Result<JoinCostBreakdown> IndexedNestedLoopsJoin(
-    BufferPool* pool, const JoinInput& indexed, const JoinInput& probing,
-    SpatialPredicate pred, const JoinOptions& opts,
-    const ResultSink& sink = {}, const RStarTree* preexisting_index = nullptr,
-    bool indexed_is_left = true);
-
-/// R-tree based spatial join (Brinkhoff, Kriegel, Seeger — SIGMOD '93),
-/// the paper's §4.2 baseline.
-///
-/// Bulk loads an R*-tree on each input that lacks one (pass non-null
-/// `r_index`/`s_index` for the Figures 14/15 pre-existing-index variants),
-/// then performs a synchronized depth-first traversal of the two trees:
-/// at each step the entries of one R node and one S node are joined with
-/// the same plane-sweep technique PBSM uses, and matching child pairs are
-/// traversed in tandem. Leaf-level matches become candidate OID pairs,
-/// which run through the shared refinement step (§3.2 semantics, identical
-/// to PBSM's).
-Result<JoinCostBreakdown> RtreeJoin(BufferPool* pool, const JoinInput& r,
-                                    const JoinInput& s, SpatialPredicate pred,
-                                    const JoinOptions& opts,
-                                    const ResultSink& sink = {},
-                                    const RStarTree* r_index = nullptr,
-                                    const RStarTree* s_index = nullptr);
-
-/// Options for the spatial hash join (the facade builds one from
-/// JoinSpec::hash).
-struct SpatialHashJoinOptions {
-  /// Number of buckets; 0 derives it from Equation 1 like PBSM.
-  uint32_t num_buckets = 0;
-  /// R tuples sampled to seed the bucket extents (fraction of |R|).
-  double sample_fraction = 0.01;
-  JoinOptions join;
-};
-
-/// Spatial hash join (Lo & Ravishankar, SIGMOD '96) — the concurrent
-/// no-index algorithm the paper's §2 and Table 1 discuss, implemented as a
-/// fourth join for comparison.
-///
-/// Where PBSM partitions *both* inputs with one space-regular tiling and
-/// replicates any object spanning tiles, the spatial hash join is
-/// asymmetric:
-///  1. a sample of R seeds the bucket extents (here: a Hilbert-sorted
-///     sample cut into equal runs, each run's cover is one seed — standing
-///     in for LR96's seeded-tree levels);
-///  2. every R tuple goes to exactly ONE bucket — the one whose extent
-///     needs the least enlargement (the bucket extent grows to cover it),
-///     so R is never replicated;
-///  3. every S tuple is replicated to ALL buckets whose (final) extents
-///     its MBR overlaps; S tuples overlapping no bucket are dropped by the
-///     filter (they cannot join);
-///  4. each bucket pair is plane-sweep joined and candidates run through
-///     the shared refinement (LR96 itself "ignores the very expensive
-///     refinement step" — the paper's words; here it is included so totals
-///     are comparable).
-Result<JoinCostBreakdown> SpatialHashJoin(
-    BufferPool* pool, const JoinInput& r, const JoinInput& s,
-    SpatialPredicate pred, const SpatialHashJoinOptions& options,
-    const ResultSink& sink = {});
-
-/// Options for the z-value transform join (the facade builds one from
-/// JoinSpec::zorder).
-struct ZOrderJoinOptions {
-  /// Quadtree depth: the universe is a 2^max_level x 2^max_level pixel
-  /// grid. Orenstein's grid-choice sensitivity ([Ore89], discussed in the
-  /// paper's §2): finer grids filter better but need more z-elements per
-  /// object.
-  uint32_t max_level = 8;
-  /// Cap on quadtree cells approximating one MBR (the space/precision
-  /// knob). The decomposition stops refining once it would exceed this.
-  uint32_t max_cells_per_object = 4;
-
-  JoinOptions join;  ///< Memory budget, refinement mode, etc.
-};
-
-/// Orenstein-style z-value spatial join ([Ore86, OM88] — the
-/// "transform the approximation into another dimension" family of the
-/// paper's Table 1, built as an additional comparison baseline).
-///
-/// Filter: each tuple's MBR is approximated by up to
-/// `max_cells_per_object` quadtree cells; each cell is a z-order interval
-/// [lo, hi). Both inputs become z-interval lists, externally sorted by
-/// (lo asc, hi desc). Because quadtree intervals are either nested or
-/// disjoint, a single merge pass with one containment stack per input
-/// finds every R/S pair with overlapping intervals — the 1-D "merge" the
-/// transform approach buys. The filter never misses a truly intersecting
-/// pair (cell covers are supersets of the MBRs) but produces more false
-/// positives than the MBR filter, which is the drawback the paper cites.
-///
-/// Refinement: identical to PBSM's (shared RefineCandidates), including
-/// duplicate elimination — one object pair can meet through several cells.
-Result<JoinCostBreakdown> ZOrderJoin(BufferPool* pool, const JoinInput& r,
-                                     const JoinInput& s,
-                                     SpatialPredicate pred,
-                                     const ZOrderJoinOptions& options,
-                                     const ResultSink& sink = {});
-
-// --- Filter-only entry points (candidate producers) ---
+// --- Filter step (candidate producers) ---
 //
-// Each runs its method's filter phases (recorded into `*breakdown` under
-// the same phase names the monolithic function uses) and appends candidate
-// OID pairs to `*sorter` without calling Finish() on it. Pairs are in the
-// caller's (r, s) orientation. Cancellation is polled at the same points
-// as the monolithic paths.
+// Each runs its method's filter phases (recorded into `*breakdown`) and
+// appends candidate OID pairs to `*sorter` without calling Finish() on it.
+// Pairs are in the caller's (r, s) orientation. Cancellation is polled
+// between partitions (PBSM) or probes (INL).
 
-/// PBSM filter: partition both inputs, merge each partition pair with the
-/// plane sweep (§3.1/§3.4/§3.5). Phases "partition <r>", "partition <s>",
-/// "merge partitions".
+/// PBSM filter (the paper's §3.1): both inputs are scanned once; each
+/// tuple's key-pointer (<MBR, OID>) is routed by the tiled spatial
+/// partitioning function into one or more of P on-disk partitions (P from
+/// Equation 1 unless overridden), and each partition pair is merged in
+/// memory with the plane sweep (§3.4). Partition pairs over the memory
+/// budget are handled per §3.5: repartitioned with a finer tile grid (when
+/// opts.dynamic_repartition), falling back to chunked sweeps with S
+/// re-reads once the recursion depth is exhausted. Phases
+/// "partition <r>", "partition <s>", "merge partitions".
 Status PbsmFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
                   const JoinOptions& opts, CandidateSorter* sorter,
                   JoinCostBreakdown* breakdown);
 
-/// BKS93 tree-join filter: bulk loads missing indexes, runs the
-/// synchronized traversal, and drops any index it built before returning.
+/// BKS93 tree-join filter (the paper's §4.2 baseline): bulk loads an
+/// R*-tree on each input that lacks one, runs the synchronized depth-first
+/// traversal (the entries of one R node and one S node are joined with the
+/// plane sweep PBSM uses), and drops any index it built before returning.
 /// Phases "build index <name>" (per missing side), "join trees".
 Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
                    const JoinOptions& opts, CandidateSorter* sorter,
@@ -234,35 +98,43 @@ Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
                    const RStarTree* r_index = nullptr,
                    const RStarTree* s_index = nullptr);
 
-/// INL filter: builds (or reuses) the index over `indexed`, probes it with
-/// every `probing` tuple, and emits each window-query hit as a candidate
-/// pair — WITHOUT the inline exact test the monolithic INL performs, so
-/// the exec layer can refine behind the operator boundary. Pairs are
-/// emitted as (indexed, probing) when `emit_indexed_first`, else flipped —
-/// the caller passes the flag restoring its own (r, s) orientation. Any
-/// index built here is dropped before returning. Phases
-/// "build index <name>" (when building), "probe index".
+/// INL filter (the paper's §4.1): builds (or reuses) the index over
+/// `indexed`, probes it with every `probing` tuple, and emits each
+/// window-query hit as a candidate pair; the exact test runs in the
+/// downstream refinement. Pairs are emitted as (indexed, probing) when
+/// `emit_indexed_first`, else flipped — the caller passes the flag
+/// restoring its own (r, s) orientation. Any index built here is dropped
+/// before returning. Phases "build index <name>" (when building),
+/// "probe index".
 Status InlFilter(BufferPool* pool, const JoinInput& indexed,
                  const JoinInput& probing, const JoinOptions& opts,
                  CandidateSorter* sorter, JoinCostBreakdown* breakdown,
                  const RStarTree* preexisting_index = nullptr,
                  bool emit_indexed_first = true);
 
-/// Spatial hash filter (LR96): sample R, build bucket extents, partition
-/// both inputs, sweep each bucket pair. Phases "sample <r>",
-/// "partition <r>", "partition <s>", "merge buckets".
+/// Spatial hash filter (Lo & Ravishankar, SIGMOD '96; the paper's §2).
+/// Unlike PBSM it is asymmetric: a Hilbert-sorted sample of R seeds the
+/// bucket extents; every R tuple goes to exactly ONE bucket (the one
+/// needing the least enlargement, which then grows to cover it); every S
+/// tuple is replicated to all buckets whose final extents it overlaps, and
+/// dropped when it overlaps none; each bucket pair is plane-sweep joined.
+/// Phases "sample <r>", "partition <r>", "partition <s>", "merge buckets".
 Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
-                         const JoinInput& s,
-                         const SpatialHashJoinOptions& options,
-                         CandidateSorter* sorter,
+                         const JoinInput& s, const JoinSpec::Hash& hash,
+                         const JoinOptions& opts, CandidateSorter* sorter,
                          JoinCostBreakdown* breakdown);
 
-/// Z-order filter (Ore86/OM88): quadtree-decompose both inputs into sorted
-/// z-interval lists, merge with containment stacks. Phases
-/// "transform <r>", "transform <s>", "merge z-lists".
+/// Z-order filter (Orenstein, [Ore86, OM88]; the paper's Table 1). Each
+/// MBR is approximated by up to `zorder.max_cells_per_object` quadtree
+/// cells of a 2^max_level grid, each a z-interval [lo, hi); both inputs
+/// become externally sorted z-interval lists, merged in one pass with a
+/// containment stack per input. Cell covers are supersets of the MBRs, so
+/// no true pair is missed, but one object pair can meet through several
+/// cells (duplicates go in the refinement sort). Phases "transform <r>",
+/// "transform <s>", "merge z-lists".
 Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
-                    const ZOrderJoinOptions& options, CandidateSorter* sorter,
-                    JoinCostBreakdown* breakdown);
+                    const JoinSpec::ZOrder& zorder, const JoinOptions& opts,
+                    CandidateSorter* sorter, JoinCostBreakdown* breakdown);
 
 }  // namespace pbsm
 

@@ -33,7 +33,8 @@ struct JoinInput {
   RelationInfo info;
 };
 
-/// Knobs shared by all three join algorithms.
+/// Knobs shared by every join method (fields a method does not use are
+/// ignored).
 struct JoinOptions {
   /// Operator memory budget (Equation 1's M and the refinement block size).
   size_t memory_budget_bytes = 4ull << 20;
@@ -67,8 +68,8 @@ struct JoinOptions {
   /// Adaptive true-hit filtering (ROADMAP item 4, arXiv 1802.09488):
   /// refine.mode picks exact / adaptive / approximate, refine.grid_order
   /// the cell precision (0 = auto from catalog stats, or planner-chosen
-  /// when the join runs through the service). INL evaluates its predicate
-  /// inline during the index probe and ignores this knob.
+  /// when the join runs through the service). INL ignores this knob and
+  /// always refines exactly, as §4.1 evaluates every probe hit.
   RefineOptions refine;
 
   // --- Index construction (INL / R-tree join) ---

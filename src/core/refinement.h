@@ -22,9 +22,9 @@ using CandidateSorter = ExternalSorter<OidPair, OidPairLess>;
 using SortedPairStream = std::function<Result<bool>(OidPair*)>;
 
 /// Core of the refinement step, driven by any sorted, de-duplicated pair
-/// stream — the serial path wraps an external sorter (RefineCandidates),
-/// the parallel executor wraps a contiguous shard of an in-memory sorted
-/// candidate array. Steps 2-4 of the §3.2 algorithm: block-wise R fetches
+/// stream — RefineOp wraps its filter child, RefineCandidates an external
+/// sorter, and the parallel executor a contiguous shard of an in-memory
+/// sorted candidate array. Steps 2-4 of the §3.2 algorithm: block-wise R fetches
 /// in OID order, per-block re-sort on OID_S ("swizzling"), sequential S
 /// fetches, exact predicate evaluation. Updates breakdown->results only.
 ///
@@ -42,7 +42,7 @@ Status RefinePairStream(const SortedPairStream& next, const JoinInput& r,
                         const JoinOptions& opts, const ResultSink& sink,
                         JoinCostBreakdown* breakdown);
 
-/// The refinement step shared by PBSM and the R-tree join (§3.2):
+/// The refinement step (§3.2) over an external candidate sorter:
 ///
 ///  1. externally sorts the candidate pairs on (OID_R, OID_S), dropping
 ///     duplicates during the merge (a tuple pair can be produced by several

@@ -17,9 +17,8 @@
 namespace pbsm {
 
 Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
-                         const JoinInput& s,
-                         const SpatialHashJoinOptions& options,
-                         CandidateSorter* sorter,
+                         const JoinInput& s, const JoinSpec::Hash& hash,
+                         const JoinOptions& opts, CandidateSorter* sorter,
                          JoinCostBreakdown* bd) {
   JoinCostBreakdown& breakdown = *bd;
   DiskManager* disk = pool->disk();
@@ -28,11 +27,11 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     return Status::InvalidArgument("join inputs have an empty universe");
   }
   uint32_t num_buckets =
-      options.num_buckets != 0
-          ? options.num_buckets
+      hash.num_buckets != 0
+          ? hash.num_buckets
           : SpatialPartitioner::EstimatePartitionCount(
                 r.info.cardinality, s.info.cardinality,
-                options.join.memory_budget_bytes);
+                opts.memory_budget_bytes);
   if (num_buckets < 1) num_buckets = 1;
   breakdown.num_partitions = num_buckets;
 
@@ -43,7 +42,7 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     PhaseCost& cost = breakdown.AddPhase(phase);
     PhaseTimer timer(disk, &cost, phase);
     size_t sample_target = static_cast<size_t>(
-        static_cast<double>(r.info.cardinality) * options.sample_fraction);
+        static_cast<double>(r.info.cardinality) * hash.sample_fraction);
     sample_target = std::max<size_t>(sample_target, num_buckets * 4);
 
     // Reservoir sample of R MBRs (deterministic).
@@ -156,7 +155,7 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     PhaseCost& cost = breakdown.AddPhase("merge buckets");
     PhaseTimer timer(disk, &cost, "merge buckets");
     const uint64_t chunk_records = std::max<uint64_t>(
-        1, options.join.memory_budget_bytes / 2 / sizeof(KeyPointer));
+        1, opts.memory_budget_bytes / 2 / sizeof(KeyPointer));
     for (uint32_t b = 0; b < num_buckets; ++b) {
       if (r_spools[b].num_records() > 0 && s_spools[b].num_records() > 0) {
         Status append_status;
@@ -187,7 +186,7 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
             }
             if (s_chunk.empty()) break;
             PlaneSweepJoinBatch(&r_chunk, &s_chunk, batch_sink,
-                                options.join.sweep, options.join.simd);
+                                opts.sweep, opts.simd);
           }
         }
         PBSM_RETURN_IF_ERROR(append_status);
@@ -197,30 +196,6 @@ Status SpatialHashFilter(BufferPool* pool, const JoinInput& r,
     }
   }
   return Status::OK();
-}
-
-Result<JoinCostBreakdown> SpatialHashJoin(
-    BufferPool* pool, const JoinInput& r, const JoinInput& s,
-    SpatialPredicate pred, const SpatialHashJoinOptions& options,
-    const ResultSink& sink) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter sorter(pool, options.join.memory_budget_bytes,
-                         OidPairLess{});
-  PBSM_RETURN_IF_ERROR(
-      SpatialHashFilter(pool, r, s, options, &sorter, &breakdown));
-
-  // ---- Shared refinement. R is never replicated, but one S tuple can
-  // meet the same R tuple through... it cannot: R lives in exactly one
-  // bucket, so pairs are unique; the sort still orders fetches. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    PBSM_RETURN_IF_ERROR(RefineCandidates(&sorter, r, s, pred,
-                                          options.join, sink, &breakdown));
-  }
-  return breakdown;
 }
 
 }  // namespace pbsm

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace pbsm {
 
@@ -40,20 +39,8 @@ std::optional<JoinMethod> ParseJoinMethod(std::string_view name) {
   return std::nullopt;
 }
 
-void CountJoinFailure(JoinMethod method, const Status& status) {
-  if (status.ok()) return;
-  // Cancellations are not failures: they are the service tearing down
-  // work on purpose, and alerting on them as errors would be noise.
-  const bool cancelled = status.code() == StatusCode::kCancelled;
-  MetricsRegistry::Global()
-      .GetCounter((cancelled ? "join.cancelled." : "join.failures.") +
-                  std::string(JoinMethodName(method)))
-      ->Add();
-}
-
 // The SpatialJoin facade itself lives in src/exec/spatial_join.cc: it
-// builds and drives an operator tree (or dispatches to the monolithic
-// entry points under JoinEngine::kMonolith), which the core library cannot
-// do without depending on the exec layer above it.
+// builds and drives an operator tree, which the core library cannot do
+// without depending on the exec layer above it.
 
 }  // namespace pbsm

@@ -33,34 +33,15 @@ std::string_view JoinMethodName(JoinMethod method);
 /// Inverse of JoinMethodName; nullopt on an unknown identifier.
 std::optional<JoinMethod> ParseJoinMethod(std::string_view name);
 
-/// Which execution engine the facade uses.
-enum class JoinEngine {
-  /// Pull-based operator tree (src/exec): FilterJoinOp -> RefineOp, with
-  /// selection pushdown and per-operator tracing/metrics. The default —
-  /// produces the exact result-pair set of the monolithic path.
-  kOperatorTree,
-  /// The legacy monolithic per-method entry points, kept as the
-  /// differential reference and for callers embedding the join in their
-  /// own pipelines.
-  kMonolith,
-};
-
 /// Window pushdown: only result pairs whose BOTH sides' MBRs intersect
-/// `window` are emitted to the sink. With the operator engine this runs as
-/// a SelectOp above the join; the monolithic engine applies it as a sink
-/// filter. The optional MBR maps skip the tuple fetch + parse per side;
-/// when null the side's MBR is read from its heap.
+/// `window` are emitted to the sink. It runs as a SelectOp above the join.
+/// The optional MBR maps skip the tuple fetch + parse per side; when null
+/// the side's MBR is read from its heap.
 struct WindowFilter {
   Rect window;
   const std::unordered_map<uint64_t, Rect>* r_mbrs = nullptr;
   const std::unordered_map<uint64_t, Rect>* s_mbrs = nullptr;
 };
-
-/// Bumps "join.cancelled.<method>" for kCancelled statuses and
-/// "join.failures.<method>" for every other non-OK status; no-op on OK.
-/// The facade and the legacy non-facade entry points (SimulateParallelPbsm)
-/// both route their failure accounting through here.
-void CountJoinFailure(JoinMethod method, const Status& status);
 
 /// The complete specification of one spatial join: the algorithm, the exact
 /// predicate, the shared knobs, and per-algorithm option groups. Fields an
@@ -75,11 +56,6 @@ struct JoinSpec {
   JoinMethod method = JoinMethod::kPbsm;
   SpatialPredicate predicate = SpatialPredicate::kIntersects;
 
-  /// Execution engine; kOperatorTree builds and drives a pull-based
-  /// operator tree, kMonolith calls the legacy per-method function.
-  /// Result pairs are identical either way.
-  JoinEngine engine = JoinEngine::kOperatorTree;
-
   /// Optional window pushdown over the result pairs (see WindowFilter).
   /// JoinResult.num_results still counts pre-window refined pairs; only
   /// the sink sees the filtered stream.
@@ -90,9 +66,9 @@ struct JoinSpec {
   /// the duplicate-free two-layer filter (default) or the paper's
   /// replicate-then-merge-dedup scheme for the PBSM methods, and
   /// options.refine holds the adaptive-refinement knobs — refinement is
-  /// shared by every method (INL excepted, which tests inline during the
-  /// probe), so its options live with the other shared knobs rather than
-  /// as a per-method group here.
+  /// shared by every method (INL always refines exactly), so its options
+  /// live with the other shared knobs rather than as a per-method group
+  /// here.
   JoinOptions options;
 
   /// Receives each (r, s) result pair. Always oriented as the facade's
@@ -116,8 +92,13 @@ struct JoinSpec {
 
   /// kZOrder options.
   struct ZOrder {
-    uint32_t max_level = 8;             ///< Quadtree depth.
-    uint32_t max_cells_per_object = 4;  ///< Cells approximating one MBR.
+    /// Quadtree depth: the universe is a 2^max_level x 2^max_level pixel
+    /// grid, in [1, 31]. Finer grids filter better but need more cells
+    /// per object (Orenstein's grid-choice sensitivity, the paper's §2).
+    uint32_t max_level = 8;
+    /// Cap on quadtree cells approximating one MBR; the decomposition
+    /// stops refining once it would exceed this.
+    uint32_t max_cells_per_object = 4;
   };
   ZOrder zorder;
 
@@ -127,10 +108,10 @@ struct JoinSpec {
 };
 
 /// What one SpatialJoin() execution produced: the result-pair count, the
-/// per-phase cost breakdown the legacy entry points returned, and the
-/// global-metrics delta attributable to this join (counters bumped and
-/// histograms recorded between entry and exit — buffer-pool hits/misses,
-/// refinement true/false positives, repartition depths, ...).
+/// per-phase cost breakdown, and the global-metrics delta attributable to
+/// this join (counters bumped and histograms recorded between entry and
+/// exit — buffer-pool hits/misses, refinement true/false positives,
+/// repartition depths, ...).
 struct JoinResult {
   JoinMethod method = JoinMethod::kPbsm;
   uint64_t num_results = 0;      ///< == breakdown.results.
@@ -151,9 +132,10 @@ struct JoinResult {
 /// with a pre-existing index, else the smaller input, and restores the
 /// caller's orientation).
 ///
-/// This is the ONLY public join entry point. The per-algorithm functions
-/// it dispatches to live in core/join_methods_internal.h and are reserved
-/// for src/core implementation files.
+/// This is the ONLY public join entry point. It builds the operator tree
+/// for `spec` (FilterJoinOp -> RefineOp, or ParallelJoinOp; see
+/// exec/plan_builder.h) and drives it. The per-method filter functions the
+/// operators wrap live in core/join_methods_internal.h.
 Result<JoinResult> SpatialJoin(BufferPool* pool, const JoinInput& r,
                                const JoinInput& s, const JoinSpec& spec);
 

@@ -112,9 +112,9 @@ Status TransformInput(const HeapFile& heap, Decomposer* decomposer,
 }  // namespace
 
 Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
-                    const ZOrderJoinOptions& options, CandidateSorter* sorter,
-                    JoinCostBreakdown* bd) {
-  if (options.max_level == 0 || options.max_level > 31) {
+                    const JoinSpec::ZOrder& zorder, const JoinOptions& opts,
+                    CandidateSorter* sorter, JoinCostBreakdown* bd) {
+  if (zorder.max_level == 0 || zorder.max_level > 31) {
     return Status::InvalidArgument("max_level must be in [1, 31]");
   }
   JoinCostBreakdown& breakdown = *bd;
@@ -123,12 +123,12 @@ Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
   if (universe.empty()) {
     return Status::InvalidArgument("join inputs have an empty universe");
   }
-  Decomposer decomposer(universe, options.max_level,
-                        std::max(1u, options.max_cells_per_object));
+  Decomposer decomposer(universe, zorder.max_level,
+                        std::max(1u, zorder.max_cells_per_object));
 
   // ---- Transform both inputs into sorted z-interval lists. ----
-  ZSorter r_sorter(pool, options.join.memory_budget_bytes, ZElementLess{});
-  ZSorter s_sorter(pool, options.join.memory_budget_bytes, ZElementLess{});
+  ZSorter r_sorter(pool, opts.memory_budget_bytes, ZElementLess{});
+  ZSorter s_sorter(pool, opts.memory_budget_bytes, ZElementLess{});
   uint64_t r_elements = 0, s_elements = 0;
   {
     const std::string phase = "transform " + r.info.name;
@@ -208,29 +208,6 @@ Status ZOrderFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
     PBSM_RETURN_IF_ERROR(append_status);
   }
   return Status::OK();
-}
-
-Result<JoinCostBreakdown> ZOrderJoin(BufferPool* pool, const JoinInput& r,
-                                     const JoinInput& s,
-                                     SpatialPredicate pred,
-                                     const ZOrderJoinOptions& options,
-                                     const ResultSink& sink) {
-  JoinCostBreakdown breakdown;
-  DiskManager* disk = pool->disk();
-
-  CandidateSorter candidates(pool, options.join.memory_budget_bytes,
-                             OidPairLess{});
-  PBSM_RETURN_IF_ERROR(
-      ZOrderFilter(pool, r, s, options, &candidates, &breakdown));
-
-  // ---- Shared refinement. ----
-  {
-    PhaseCost& cost = breakdown.AddPhase("refinement");
-    PhaseTimer timer(disk, &cost, "refinement");
-    PBSM_RETURN_IF_ERROR(RefineCandidates(&candidates, r, s, pred,
-                                          options.join, sink, &breakdown));
-  }
-  return breakdown;
 }
 
 }  // namespace pbsm

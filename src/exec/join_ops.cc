@@ -38,8 +38,8 @@ Status FilterJoinOp::RunFilter() {
       break;
 
     case JoinMethod::kInl: {
-      // Same side selection as the facade: prefer a pre-existing index,
-      // else index the smaller input; emit_indexed_first restores the
+      // Prefer a side with a pre-existing index, else index the smaller
+      // input (the paper's choice); emit_indexed_first restores the
       // caller's (r, s) orientation.
       const bool index_s = spec_.s_index != nullptr ||
                            (spec_.r_index == nullptr &&
@@ -58,25 +58,15 @@ Status FilterJoinOp::RunFilter() {
                                        bd(), spec_.r_index, spec_.s_index));
       break;
 
-    case JoinMethod::kSpatialHash: {
-      SpatialHashJoinOptions options;
-      options.num_buckets = spec_.hash.num_buckets;
-      options.sample_fraction = spec_.hash.sample_fraction;
-      options.join = opts;
-      PBSM_RETURN_IF_ERROR(
-          SpatialHashFilter(ctx_->pool, r_, s_, options, &*sorter_, bd()));
+    case JoinMethod::kSpatialHash:
+      PBSM_RETURN_IF_ERROR(SpatialHashFilter(ctx_->pool, r_, s_, spec_.hash,
+                                             opts, &*sorter_, bd()));
       break;
-    }
 
-    case JoinMethod::kZOrder: {
-      ZOrderJoinOptions options;
-      options.max_level = spec_.zorder.max_level;
-      options.max_cells_per_object = spec_.zorder.max_cells_per_object;
-      options.join = opts;
-      PBSM_RETURN_IF_ERROR(
-          ZOrderFilter(ctx_->pool, r_, s_, options, &*sorter_, bd()));
+    case JoinMethod::kZOrder:
+      PBSM_RETURN_IF_ERROR(ZOrderFilter(ctx_->pool, r_, s_, spec_.zorder,
+                                        opts, &*sorter_, bd()));
       break;
-    }
 
     case JoinMethod::kParallelPbsm:
       PBSM_CHECK(false) << "unreachable";

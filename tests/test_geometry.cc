@@ -325,7 +325,9 @@ TEST(GeometryFuzzTest, IntersectsModesAgreeAndAreSymmetric) {
           << "symmetry, seed=" << seed << " iter=" << iter;
       // Disjoint MBRs must imply a negative answer (the filter step's
       // correctness precondition).
-      if (!a.Mbr().Intersects(b.Mbr())) EXPECT_FALSE(naive);
+      if (!a.Mbr().Intersects(b.Mbr())) {
+        EXPECT_FALSE(naive);
+      }
     }
   }
 }

@@ -407,9 +407,8 @@ TEST(JoinPreexistingIndexTest, IndexVariantsMatch) {
       const JoinCostBreakdown inl_cost,
       RunJoin(env.pool(), roads_rel.AsInput(), rail_rel.AsInput(),
               inl_spec));
-  // Probe + refinement: the operator engine splits INL into a candidate
-  // producer and the shared refinement operator (the monolithic INL folded
-  // the exact test into the probe phase).
+  // Probe + refinement: INL runs as a candidate producer feeding the
+  // shared refinement operator.
   ASSERT_EQ(inl_cost.phases.size(), 2u);
   EXPECT_EQ(inl_cost.phases[0].first, "probe index");
   EXPECT_EQ(inl_cost.phases[1].first, "refinement");

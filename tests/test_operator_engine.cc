@@ -1,8 +1,8 @@
-// Operator-engine tests: the pull-based operator tree (src/exec) must be a
-// drop-in replacement for the monolithic join paths — identical pair sets
-// across every method and option axis — and the pieces only the engine
-// provides (multi-way joins, mid-pipeline cancellation, per-operator
-// metrics, explain) must hold their own contracts.
+// Operator-engine tests: the pull-based operator tree (src/exec) must
+// produce the brute-force oracle's pair set across every method and option
+// axis, and the pieces only the engine provides (multi-way joins,
+// mid-pipeline cancellation, per-operator metrics, explain) must hold
+// their own contracts.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "core/parallel_pbsm.h"
 #include "datagen/tiger_gen.h"
 #include "exec/basic_ops.h"
 #include "exec/plan_builder.h"
@@ -78,11 +77,10 @@ IdTripleSet ComposedOracle(const Corpus& c, SpatialPredicate base_pred,
   return out;
 }
 
-// The tentpole differential: the operator tree and the monolithic entry
-// points must produce the exact same pair set for all six methods, crossed
-// with both dedup schemes (PBSM family) and the result-preserving
-// refinement modes. Identical-by-construction is the design goal; this is
-// the check that it stayed true.
+// The operator tree must produce the oracle's exact pair set for all six
+// methods, crossed with both dedup schemes (PBSM family) and the
+// result-preserving refinement modes. (The name predates the removal of
+// the second engine this test once compared against.)
 TEST(OperatorEngineTest, TreeMatchesMonolithAcrossMethodsAndModes) {
   const Corpus c = MakeCorpus(/*seed=*/20260808, 150, 120, 0);
   for (const SpatialPredicate pred :
@@ -118,16 +116,9 @@ TEST(OperatorEngineTest, TreeMatchesMonolithAcrossMethodsAndModes) {
           spec.options.dedup_mode = dedup;
           spec.options.refine.mode = refine;
 
-          spec.engine = JoinEngine::kOperatorTree;
           PBSM_ASSERT_OK_AND_ASSIGN(
               const IdPairSet tree_pairs,
               RunJoinToIdPairs(env.pool(), r, s, spec));
-          spec.engine = JoinEngine::kMonolith;
-          PBSM_ASSERT_OK_AND_ASSIGN(
-              const IdPairSet mono_pairs,
-              RunJoinToIdPairs(env.pool(), r, s, spec));
-
-          EXPECT_EQ(tree_pairs, mono_pairs);
           EXPECT_EQ(tree_pairs, oracle);
         }
       }
@@ -285,7 +276,6 @@ TEST(OperatorEngineTest, ExecMetricsAccountBatchesAndRows) {
 
   JoinSpec spec;
   spec.method = JoinMethod::kPbsm;
-  spec.engine = JoinEngine::kOperatorTree;
   spec.options.memory_budget_bytes = 1 << 20;
   uint64_t sink_pairs = 0;
   spec.sink = [&sink_pairs](Oid, Oid) { ++sink_pairs; };
@@ -365,35 +355,6 @@ TEST(OperatorEngineTest, PlannerTreeAndServiceExplain) {
   request.r_dataset = "missing";
   EXPECT_EQ(service.Explain(request).status().code(), StatusCode::kNotFound);
   service.Shutdown();
-}
-
-// Regression (issue satellite): the legacy SimulateParallelPbsm entry
-// point bypassed the facade and with it the join.failures.<method>
-// accounting. It must now route every non-OK return through
-// CountJoinFailure like a facade-dispatched join.
-TEST(OperatorEngineTest, LegacyParallelEntryCountsFailures) {
-  const Corpus c = MakeCorpus(/*seed=*/20260813, 40, 30, 0);
-  StorageEnv env(256 * kPageSize);
-  PBSM_ASSERT_OK_AND_ASSIGN(
-      const StoredRelation r,
-      LoadRelation(env.pool(), nullptr, "roads", c.roads));
-  PBSM_ASSERT_OK_AND_ASSIGN(
-      const StoredRelation s,
-      LoadRelation(env.pool(), nullptr, "hydro", c.hydro));
-
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  ParallelPbsmOptions options;
-  options.num_workers = 0;  // Invalid: rejected before any work happens.
-  const auto report = SimulateParallelPbsm(env.pool(), r.AsInput(),
-                                           s.AsInput(),
-                                           SpatialPredicate::kIntersects,
-                                           options);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  const MetricsSnapshot delta =
-      MetricsRegistry::Global().Snapshot().Delta(before);
-  EXPECT_EQ(delta.counter("join.failures.parallel_pbsm"), 1u);
-  EXPECT_EQ(delta.counter("join.cancelled.parallel_pbsm"), 0u);
 }
 
 }  // namespace

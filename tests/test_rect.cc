@@ -99,7 +99,9 @@ TEST_P(RectPropertyTest, IntersectionConsistentWithIntersects) {
     EXPECT_TRUE(u.Contains(a));
     EXPECT_TRUE(u.Contains(b));
     // Containment implies intersection.
-    if (a.Contains(b)) EXPECT_TRUE(a.Intersects(b));
+    if (a.Contains(b)) {
+      EXPECT_TRUE(a.Intersects(b));
+    }
   }
 }
 

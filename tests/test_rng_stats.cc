@@ -99,7 +99,7 @@ TEST(StatsTest, UniformDistributionHasZeroCov) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += std::sqrt(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + std::sqrt(i);
   const double t = watch.ElapsedSeconds();
   EXPECT_GT(t, 0.0);
   EXPECT_LT(t, 30.0);
@@ -111,14 +111,14 @@ TEST(TimeAccumulatorTest, AccumulatesScopes) {
   {
     TimeAccumulator::Scope scope(&acc);
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += i;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   const double once = acc.seconds();
   EXPECT_GT(once, 0.0);
   {
     TimeAccumulator::Scope scope(&acc);
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += i;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(acc.seconds(), once);
   acc.Reset();
