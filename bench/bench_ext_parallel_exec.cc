@@ -17,7 +17,8 @@
 // tracked in bench/results/parallel_exec_baseline.json.
 //
 // sweep_balance_cov is the coefficient of variation of the per-partition
-// sweep task times: lower means better balanced partitions.
+// key-pointer counts the sweep tasks join: lower means better balanced
+// partitions. It is a count, not a time, so it does not vary between runs.
 //
 // Set PBSM_JSON_OUT=<path> to also append the JSON lines to a file; an
 // unopenable path aborts the bench.

@@ -1,5 +1,5 @@
 // Closed-loop throughput/latency driver for the join service (see
-// DESIGN.md "Service layer" and "Sharded service"). Four experiments:
+// DESIGN.md "Service layer"). Four experiments:
 //
 //   1. Planner validation: on the Figure 7 (road x hydrography) and
 //      Figure 8 (road x rail) pairs, measure every method cold through the

@@ -14,7 +14,7 @@
 // `auto` here, showing what the cost-based planner would pick.
 //
 // Service mode (long-running, planner + index cache; see DESIGN.md
-// "Service layer" and "Sharded service"):
+// "Service layer"):
 //   ./examples/spatial_join_cli serve R.wkt S.wkt [--workers=N] [--queue=N]
 //                               [--shards=N]
 // then issue commands on stdin, one per line:
@@ -28,7 +28,9 @@
 // each with its own buffer pool and index cache, and every query scatters
 // one sub-join per strip. Results and exit codes are identical to the
 // single-shard path — sharding is a throughput/isolation knob, not a
-// semantic one. In serve mode --workers then means workers PER SHARD.
+// semantic one. In serve mode --workers means workers per shard, and the
+// one serve loop answers every command at any N (--shards=1 serves the
+// loaded heaps in place, as JoinService does).
 //
 // Each input file holds one WKT geometry per line (POINT / LINESTRING /
 // POLYGON; '#' lines are comments). One-shot mode prints the result as
@@ -62,7 +64,6 @@
 #include "geom/wkt.h"
 #include "service/join_planner.h"
 #include "service/join_router.h"
-#include "service/join_service.h"
 #include "service/shard_manager.h"
 
 int RunCli(int argc, const char** argv);
@@ -207,9 +208,6 @@ int RunDemo() {
   return RunCli(5, argv);
 }
 
-/// Sharded serve loop: joins scatter over a JoinRouter instead of queueing
-/// on a JoinService. `auto` still routes through the cost-based planner —
-/// but per shard, so methods can differ across strips of one query.
 /// Parses the "[pred] [method] [timeout_s]" tail of a serve-mode join or
 /// explain line into a request over the registered datasets "R" and "S".
 /// On an unknown predicate or method, prints an ERR line and returns
@@ -248,89 +246,11 @@ std::optional<JoinRequest> ParseServeRequest(std::istringstream& iss,
   return request;
 }
 
-int ServeSharded(const CliFlags& flags, const StoredRelation& r,
-                 const StoredRelation& s) {
-  ShardManagerConfig shard_config;
-  shard_config.num_shards = flags.shards;
-  ShardManager shards(shard_config);
-  Status reg = shards.RegisterDataset("R", &r.heap, r.info);
-  if (reg.ok()) reg = shards.RegisterDataset("S", &s.heap, s.info);
-  if (!reg.ok()) {
-    std::fprintf(stderr, "register failed: %s\n", reg.ToString().c_str());
-    return kExitRuntime;
-  }
-  JoinRouterConfig router_config;
-  router_config.workers_per_shard = flags.workers;
-  router_config.queue_capacity = flags.queue_capacity;
-  JoinRouter router(&shards, router_config);
-
-  std::printf("sharded layout: %s\n", shards.layout().ToString().c_str());
-  std::fflush(stdout);
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream iss(line);
-    std::string cmd;
-    iss >> cmd;
-    if (cmd.empty()) continue;
-    if (cmd == "quit" || cmd == "exit") break;
-
-    if (cmd == "stats") {
-      for (uint32_t i = 0; i < shards.num_shards(); ++i) {
-        const ShardManager::Shard& shard = shards.shard(i);
-        std::printf("shard %u: cache %zu entries, %llu hits, %llu misses; "
-                    "queue depth %zu\n",
-                    i, shard.cache->size(),
-                    (unsigned long long)shard.cache->hits(),
-                    (unsigned long long)shard.cache->misses(),
-                    router.queue_depth(i));
-      }
-      std::fflush(stdout);
-      continue;
-    }
-
-    if (cmd != "join") {
-      std::printf("ERR unknown command '%s'\n", cmd.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-
-    std::optional<JoinRequest> parsed = ParseServeRequest(iss, flags);
-    if (!parsed.has_value()) continue;
-    JoinRequest request = std::move(*parsed);
-
-    auto response = router.Execute(std::move(request));
-    if (!response.ok()) {
-      std::printf("ERR %s\n", response.status().ToString().c_str());
-    } else {
-      double critical = 0.0;
-      for (const ShardSliceStats& slice : response->shard_slices) {
-        critical = std::max(critical, slice.exec_seconds);
-      }
-      std::printf("OK %llu results shards=%zu%s exec=%.4fs critical=%.4fs\n",
-                  (unsigned long long)response->num_results,
-                  response->shard_slices.size(),
-                  response->planner_chosen ? " (planned)" : "",
-                  response->exec_seconds, critical);
-      for (const ShardSliceStats& slice : response->shard_slices) {
-        std::printf("  shard %u: %llu results method=%.*s %.4fs%s%s\n",
-                    slice.shard, (unsigned long long)slice.num_results,
-                    (int)JoinMethodName(slice.method).size(),
-                    JoinMethodName(slice.method).data(), slice.exec_seconds,
-                    slice.stolen ? " (stolen)" : "",
-                    slice.speculative ? " (speculative)" : "");
-      }
-    }
-    std::fflush(stdout);
-  }
-
-  router.Shutdown(/*drain=*/true);
-  return kExitOk;
-}
-
-/// `serve` mode: loads both relations once, then answers join commands
-/// from stdin through a JoinService — repeated index-method joins hit the
-/// service's index cache, and `auto` routes through the cost-based planner.
+/// `serve` mode: loads both relations once, then answers commands from
+/// stdin through one scheduler over --shards strips (at 1, the loaded
+/// heaps are served in place, as JoinService does). Repeated index-method
+/// joins hit the shard index caches, and `auto` routes through the
+/// cost-based planner per shard.
 int RunServe(const CliFlags& flags, const std::string& r_path,
              const std::string& s_path) {
   auto r_tuples = ReadWktFile(r_path);
@@ -365,34 +285,31 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
     return kExitRuntime;
   }
 
-  if (flags.shards > 1) {
-    std::printf("serving R=%s (%llu) S=%s (%llu) over %u shards; commands: "
-                "join <pred> [method|auto] [timeout_s] | stats | quit\n",
-                r_path.c_str(), (unsigned long long)r->info.cardinality,
-                s_path.c_str(), (unsigned long long)s->info.cardinality,
-                flags.shards);
-    std::fflush(stdout);
-    const int rc = ServeSharded(flags, *r, *s);
-    std::filesystem::remove_all(dir);
-    return rc;
-  }
-
-  JoinServiceConfig config;
-  config.num_workers = flags.workers;
-  config.queue_capacity = flags.queue_capacity;
-  JoinService service(&pool, config);
-  Status reg = service.RegisterDataset("R", &r->heap, r->info);
-  if (reg.ok()) reg = service.RegisterDataset("S", &s->heap, s->info);
+  ShardManagerConfig shard_config;
+  shard_config.num_shards = flags.shards;
+  const std::unique_ptr<ShardManager> shards =
+      flags.shards == 1 ? std::make_unique<ShardManager>(&pool)
+                        : std::make_unique<ShardManager>(shard_config);
+  Status reg = shards->RegisterDataset("R", &r->heap, r->info);
+  if (reg.ok()) reg = shards->RegisterDataset("S", &s->heap, s->info);
   if (!reg.ok()) {
     std::fprintf(stderr, "register failed: %s\n", reg.ToString().c_str());
     return kExitRuntime;
   }
+  JoinRouterConfig config;
+  config.workers_per_shard = flags.workers;
+  config.queue_capacity = flags.queue_capacity;
+  JoinRouter scheduler(shards.get(), config);
 
-  std::printf("serving R=%s (%llu) S=%s (%llu); commands: "
+  std::printf("serving R=%s (%llu) S=%s (%llu) over %u shard(s); commands: "
               "join <pred> [method|auto] [timeout_s] | "
               "explain <pred> [method|auto] | stats | quit\n",
               r_path.c_str(), (unsigned long long)r->info.cardinality,
-              s_path.c_str(), (unsigned long long)s->info.cardinality);
+              s_path.c_str(), (unsigned long long)s->info.cardinality,
+              shards->num_shards());
+  if (shards->num_shards() > 1) {
+    std::printf("sharded layout: %s\n", shards->layout().ToString().c_str());
+  }
   std::fflush(stdout);
 
   std::string line;
@@ -404,13 +321,15 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
     if (cmd == "quit" || cmd == "exit") break;
 
     if (cmd == "stats") {
-      std::printf("cache: %zu entries, %llu hits, %llu misses, %llu "
-                  "evictions; queue depth %zu\n",
-                  service.cache().size(),
-                  (unsigned long long)service.cache().hits(),
-                  (unsigned long long)service.cache().misses(),
-                  (unsigned long long)service.cache().evictions(),
-                  service.queue_depth());
+      for (uint32_t i = 0; i < shards->num_shards(); ++i) {
+        const IndexCache& cache = *shards->shard(i).cache;
+        std::printf("shard %u: cache %zu entries, %llu hits, %llu misses, "
+                    "%llu evictions; queue depth %zu\n",
+                    i, cache.size(), (unsigned long long)cache.hits(),
+                    (unsigned long long)cache.misses(),
+                    (unsigned long long)cache.evictions(),
+                    scheduler.queue_depth(i));
+      }
       std::fflush(stdout);
       continue;
     }
@@ -426,18 +345,19 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
     JoinRequest request = std::move(*parsed);
 
     if (cmd == "explain") {
-      // Plan without executing: cost table, costed tree, exec-layer tree.
-      auto explained = service.Explain(request);
+      // Plan without executing: per shard, the cost table, the costed tree
+      // and the exec-layer tree.
+      auto explained = scheduler.Explain(request);
       if (!explained.ok()) {
         std::printf("ERR %s\n", explained.status().ToString().c_str());
       } else {
-        std::printf("EXPLAIN method=%.*s%s\nplan: %s\n",
+        std::printf("EXPLAIN method=%.*s%s\nplan:\n%s",
                     (int)JoinMethodName(explained->method).size(),
                     JoinMethodName(explained->method).data(),
                     explained->planner_chosen ? " (planned)" : " (forced)",
                     explained->plan.c_str());
         if (!explained->cost_tree.empty()) {
-          std::printf("costed tree:\n%s\n", explained->cost_tree.c_str());
+          std::printf("costed tree:\n%s", explained->cost_tree.c_str());
         }
         std::printf("operator tree:\n%s", explained->tree.c_str());
       }
@@ -445,24 +365,38 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
       continue;
     }
 
-    auto response = service.Execute(std::move(request));
+    auto response = scheduler.Execute(std::move(request));
     if (!response.ok()) {
       std::printf("ERR %s\n", response.status().ToString().c_str());
     } else {
-      std::printf("OK %llu results method=%.*s%s exec=%.4fs queue=%.4fs\n",
+      double critical = 0.0;
+      for (const ShardSliceStats& slice : response->shard_slices) {
+        critical = std::max(critical, slice.exec_seconds);
+      }
+      std::printf("OK %llu results method=%.*s%s shards=%zu exec=%.4fs "
+                  "queue=%.4fs critical=%.4fs\n",
                   (unsigned long long)response->num_results,
                   (int)JoinMethodName(response->method).size(),
                   JoinMethodName(response->method).data(),
                   response->planner_chosen ? " (planned)" : "",
-                  response->exec_seconds, response->queue_seconds);
+                  response->shard_slices.size(), response->exec_seconds,
+                  response->queue_seconds, critical);
       if (response->planner_chosen) {
         std::printf("plan: %s\n", response->plan.c_str());
+      }
+      for (const ShardSliceStats& slice : response->shard_slices) {
+        std::printf("  shard %u: %llu results method=%.*s %.4fs%s%s\n",
+                    slice.shard, (unsigned long long)slice.num_results,
+                    (int)JoinMethodName(slice.method).size(),
+                    JoinMethodName(slice.method).data(), slice.exec_seconds,
+                    slice.stolen ? " (stolen)" : "",
+                    slice.speculative ? " (speculative)" : "");
       }
     }
     std::fflush(stdout);
   }
 
-  service.Shutdown(/*drain=*/true);
+  scheduler.Shutdown(/*drain=*/true);
   std::filesystem::remove_all(dir);
   return kExitOk;
 }

@@ -304,6 +304,7 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
   std::vector<std::vector<OidPair>> arenas(threads);
   std::vector<uint64_t> task_candidates(num_partitions, 0);
   st.sweep_task_seconds.assign(num_partitions, 0.0);
+  st.sweep_task_key_pointers.assign(num_partitions, 0);
   const KernelKind kind = ResolveKernel(opts.simd);
   {
     PhaseCost& cost = breakdown.AddPhase("filter partitions");
@@ -322,6 +323,7 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
           s_total += s_bufs[t][p].size();
         }
         if (r_total == 0 || s_total == 0) return;
+        st.sweep_task_key_pointers[p] = r_total + s_total;
         // Thread-local gather buffers: partitions handled by the same
         // worker reuse their capacity, so steady state performs no
         // per-partition allocations (asserted by the zero-alloc test).
@@ -436,12 +438,12 @@ Result<JoinCostBreakdown> ParallelTwoLayerJoin(
 }  // namespace
 
 double ParallelJoinStats::SweepBalanceCov() const {
-  std::vector<double> busy;
-  busy.reserve(sweep_task_seconds.size());
-  for (const double s : sweep_task_seconds) {
-    if (s > 0.0) busy.push_back(s);
+  std::vector<double> loads;
+  loads.reserve(sweep_task_key_pointers.size());
+  for (const uint64_t n : sweep_task_key_pointers) {
+    if (n > 0) loads.push_back(static_cast<double>(n));
   }
-  return ComputeStats(busy).CoefficientOfVariation();
+  return ComputeStats(loads).CoefficientOfVariation();
 }
 
 double ParallelJoinStats::TotalBusySeconds() const {
@@ -580,6 +582,7 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
   std::vector<uint64_t> task_candidates(num_partitions, 0);
   std::vector<uint64_t> task_repartitioned(num_partitions, 0);
   st.sweep_task_seconds.assign(num_partitions, 0.0);
+  st.sweep_task_key_pointers.assign(num_partitions, 0);
   {
     PhaseCost& cost = breakdown.AddPhase("sweep partitions");
     PhaseTimer timer(disk, &cost, "sweep partitions");
@@ -600,6 +603,7 @@ Result<JoinCostBreakdown> ParallelPbsmJoin(BufferPool* pool,
           s_total += s_bufs[t][p].size();
         }
         if (r_total == 0 || s_total == 0) return;
+        st.sweep_task_key_pointers[p] = r_total + s_total;
         std::vector<KeyPointer> r_kps, s_kps;
         r_kps.reserve(r_total);
         s_kps.reserve(s_total);

@@ -34,9 +34,14 @@ struct ParallelJoinStats {
   std::vector<double> sweep_task_seconds;
   /// Busy seconds of each refinement shard task.
   std::vector<double> refine_task_seconds;
+  /// Key pointers (both sides) each per-partition filter task joined; 0
+  /// where either side was empty and no sweep ran. Unlike the task times,
+  /// a pure function of the data and the partitioning.
+  std::vector<uint64_t> sweep_task_key_pointers;
 
-  /// Coefficient of variation of the non-empty per-partition sweep times —
-  /// the partition-balance metric (the parallel analogue of Figure 4).
+  /// Coefficient of variation of the non-empty partitions' key-pointer
+  /// counts — the partition-balance metric (the parallel analogue of
+  /// Figure 4). Deterministic: two runs of one configuration agree exactly.
   double SweepBalanceCov() const;
 
   /// Sum of all task busy seconds (the single-thread work equivalent).

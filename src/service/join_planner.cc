@@ -226,12 +226,26 @@ std::string ShardedPlan::ToString() const {
   return out;
 }
 
+PlanChoice PlanShardSlices(const ShardManager::ShardDataset& r,
+                           const ShardManager::ShardDataset& s,
+                           const IndexCache& cache,
+                           const JoinOptions& options) {
+  const PlannerSide pr{
+      &r.info, r.histogram.has_value() ? &*r.histogram : nullptr,
+      cache.Contains(JoinInput{r.heap, r.info}, options.index_fill_factor)};
+  const PlannerSide ps{
+      &s.info, s.histogram.has_value() ? &*s.histogram : nullptr,
+      cache.Contains(JoinInput{s.heap, s.info}, options.index_fill_factor)};
+  PlannerCosts costs;
+  costs.dedup_mode = options.dedup_mode;
+  costs.refine_mode = options.refine.mode;
+  return PlanJoin(pr, ps, options.num_threads, costs);
+}
+
 Result<ShardedPlan> PlanShardedJoin(const ShardManager& shards,
                                     const std::string& r_dataset,
                                     const std::string& s_dataset,
-                                    uint32_t num_threads,
-                                    const PlannerCosts& costs,
-                                    double index_fill_factor) {
+                                    const JoinOptions& options) {
   ShardedPlan plan;
   plan.slices.reserve(shards.num_shards());
   for (uint32_t i = 0; i < shards.num_shards(); ++i) {
@@ -244,16 +258,7 @@ Result<ShardedPlan> PlanShardedJoin(const ShardManager& shards,
     slice.r_cardinality = r->info.cardinality;
     slice.s_cardinality = s->info.cardinality;
     if (r->info.cardinality > 0 && s->info.cardinality > 0) {
-      const ShardManager::Shard& shard = shards.shard(i);
-      PlannerSide pr{&r->info,
-                     r->histogram.has_value() ? &*r->histogram : nullptr,
-                     shard.cache->Contains(JoinInput{r->heap.get(), r->info},
-                                           index_fill_factor)};
-      PlannerSide ps{&s->info,
-                     s->histogram.has_value() ? &*s->histogram : nullptr,
-                     shard.cache->Contains(JoinInput{s->heap.get(), s->info},
-                                           index_fill_factor)};
-      slice.choice = PlanJoin(pr, ps, num_threads, costs);
+      slice.choice = PlanShardSlices(*r, *s, *shards.shard(i).cache, options);
       plan.critical_path_seconds = std::max(plan.critical_path_seconds,
                                             slice.choice.estimated_seconds);
       plan.serial_seconds += slice.choice.estimated_seconds;

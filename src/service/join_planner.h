@@ -8,6 +8,7 @@
 #include "core/selectivity.h"
 #include "core/spatial_join.h"
 #include "rtree/node_layout.h"
+#include "service/shard_manager.h"
 #include "storage/catalog.h"
 
 namespace pbsm {
@@ -125,7 +126,15 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
                     uint32_t num_threads = 0,
                     const PlannerCosts& costs = PlannerCosts());
 
-class ShardManager;
+/// The planner call every service path shares — sub-join execution,
+/// Explain and PlanShardedJoin: costs r JOIN s over one shard's datasets
+/// from their statistics and that shard's index-cache warmth, under the
+/// knobs the join will run with (threads, dedup scheme, refinement mode,
+/// index fill factor).
+PlanChoice PlanShardSlices(const ShardManager::ShardDataset& r,
+                           const ShardManager::ShardDataset& s,
+                           const IndexCache& cache,
+                           const JoinOptions& options);
 
 /// Plan of one shard's sub-join within a sharded query.
 struct ShardSlicePlan {
@@ -152,13 +161,12 @@ struct ShardedPlan {
 
 /// Costs r JOIN s per shard of `shards` (shard-aware costing: each slice's
 /// histogram, cardinalities, and cache warmth). Empty slice pairs get a
-/// zero-cost entry. `index_fill_factor` must match what the router will
-/// run with, so cache-warmth checks hit the same entries.
-Result<ShardedPlan> PlanShardedJoin(
-    const ShardManager& shards, const std::string& r_dataset,
-    const std::string& s_dataset, uint32_t num_threads = 0,
-    const PlannerCosts& costs = PlannerCosts(),
-    double index_fill_factor = JoinOptions().index_fill_factor);
+/// zero-cost entry. `options` must match what the router will run with, so
+/// cache-warmth checks hit the same entries.
+Result<ShardedPlan> PlanShardedJoin(const ShardManager& shards,
+                                    const std::string& r_dataset,
+                                    const std::string& s_dataset,
+                                    const JoinOptions& options = JoinOptions());
 
 }  // namespace pbsm
 

@@ -1,150 +1,18 @@
 #ifndef PBSM_SERVICE_JOIN_SERVICE_H_
 #define PBSM_SERVICE_JOIN_SERVICE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <queue>
 #include <string>
-#include <string_view>
-#include <thread>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "common/bounded_queue.h"
-#include "common/canceller.h"
-#include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
-#include "core/selectivity.h"
 #include "core/spatial_join.h"
-#include "exec/view_maintainer.h"
 #include "service/index_cache.h"
-#include "service/join_planner.h"
+#include "service/join_router.h"
 #include "storage/buffer_pool.h"
-#include "storage/tuple.h"
+#include "storage/catalog.h"
+#include "storage/heap_file.h"
 
 namespace pbsm {
-
-/// Scheduling class of a service query. Strict priority: every queued
-/// interactive query runs before any batch query (FIFO within a class).
-enum class QueryPriority : uint8_t {
-  kInteractive = 0,
-  kBatch = 1,
-};
-
-std::string_view QueryPriorityName(QueryPriority p);
-
-/// One join the service is asked to run, by dataset name.
-struct JoinRequest {
-  std::string r_dataset;
-  std::string s_dataset;
-  SpatialPredicate predicate = SpatialPredicate::kIntersects;
-
-  /// Forced method; nullopt lets the cost-based planner choose.
-  std::optional<JoinMethod> method;
-
-  /// Forced refinement strategy; nullopt runs the service's configured
-  /// default (JoinServiceConfig::join_defaults.refine.mode). The planner's
-  /// cost model follows whichever applies, and under the adaptive modes the
-  /// plan also fixes the cell-grid precision.
-  std::optional<RefineMode> refine_mode;
-
-  /// When set, only result pairs whose MBRs both overlap the window are
-  /// emitted/counted (a window-restricted join).
-  std::optional<Rect> window;
-
-  QueryPriority priority = QueryPriority::kBatch;
-
-  /// Wall-clock budget from admission (not submission); 0 = unlimited.
-  /// Expiry cancels the join cooperatively (StatusCode::kCancelled).
-  double timeout_seconds = 0.0;
-
-  /// Optional per-pair callback; invoked from a service worker thread.
-  ResultSink sink;
-};
-
-/// Per-shard execution record of one scatter-gathered (sharded) query —
-/// what the JoinRouter appends to the response for each sub-join.
-struct ShardSliceStats {
-  uint32_t shard = 0;          ///< The shard whose slices were joined.
-  JoinMethod method = JoinMethod::kPbsm;
-  uint64_t num_results = 0;    ///< After window + border-ownership filters.
-  double exec_seconds = 0.0;   ///< This sub-join's execution wall time.
-  /// CPU time the executing worker thread spent on this sub-join. With
-  /// serial sub-joins (the router's num_threads=1 default) this is the
-  /// slice's full work, immune to time-sharing with sibling workers — the
-  /// number the bench's critical-path throughput is computed from. With
-  /// intra-sub-join threads it undercounts (pool threads are not metered).
-  double cpu_seconds = 0.0;
-  bool stolen = false;         ///< Executed by a sibling shard's worker.
-  bool speculative = false;    ///< Ran via speculative re-dispatch.
-};
-
-/// What a completed query reports back.
-struct JoinResponse {
-  JoinMethod method = JoinMethod::kPbsm;
-  bool planner_chosen = false;
-  std::string plan;            ///< Cost table when the planner chose.
-  uint64_t num_results = 0;
-  double queue_seconds = 0.0;  ///< Submission to admission.
-  double exec_seconds = 0.0;   ///< Admission to completion.
-
-  /// Sharded execution only (JoinRouter): one record per dispatched
-  /// sub-join, in completion order. max(exec_seconds) over the slices is
-  /// the query's shard-parallel critical path — the latency an
-  /// unconstrained multi-core host would see; the throughput bench gates
-  /// on it. Empty for single-service (JoinService) execution.
-  std::vector<ShardSliceStats> shard_slices;
-};
-
-/// What JoinService::Explain returns: the plan a request would run under,
-/// rendered without executing anything.
-struct ExplainResult {
-  JoinMethod method = JoinMethod::kPbsm;
-  bool planner_chosen = false;  ///< False when the request forced a method.
-  std::string plan;       ///< Cost table, cheapest first (PlanChoice::ToString).
-  /// Planner's costed operator tree (PlanChoice::TreeString); empty when the
-  /// request forced a method the planner did not pick — the planner only
-  /// costs the tree of its own choice.
-  std::string cost_tree;
-  /// The operator tree the exec layer would actually build and drive
-  /// (DescribeTree over BuildJoinTree), including window-pushdown selects.
-  std::string tree;
-};
-
-/// Ticket for one submitted query. Created by JoinService::Submit; callers
-/// Wait() for the result and may Cancel() at any time. Thread-safe.
-class JoinQuery {
- public:
-  /// Blocks until the query completes (or is cancelled / times out) and
-  /// returns its result. Idempotent.
-  const Result<JoinResponse>& Wait();
-
-  bool done() const;
-
-  /// Requests cooperative cancellation. A queued query fails without
-  /// running; a running one stops at its next cancellation check.
-  void Cancel();
-
- private:
-  friend class JoinService;
-
-  JoinRequest request_;
-  Canceller canceller_;
-  std::chrono::steady_clock::time_point submit_time_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
-  bool done_ = false;
-  Result<JoinResponse> result_{Status::Internal("query still pending")};
-};
 
 struct JoinServiceConfig {
   /// Concurrent query executors (each runs one join at a time).
@@ -154,51 +22,26 @@ struct JoinServiceConfig {
   /// kResourceExhausted (backpressure, not unbounded buffering).
   size_t queue_capacity = 64;
 
-  /// Total operator memory the admission controller hands out, as a
-  /// fraction of the buffer pool. A query reserves its operator budget
-  /// before running and waits (admission control) when the pool is
-  /// oversubscribed.
-  double admission_fraction = 0.5;
-
-  /// Histogram grid for dataset statistics (planner input).
-  uint32_t histogram_nx = 32;
-  uint32_t histogram_ny = 32;
-
-  IndexCache::Config cache;
-
   /// Per-query join knobs (memory budget, tiles, refinement mode, ...).
   /// `cancel` is overwritten per query; `num_threads` caps the parallel
   /// executor if the planner picks it.
   JoinOptions join_defaults;
 };
 
-/// Long-running in-process spatial-join service: a bounded priority queue
-/// of JoinRequests drained by a pool of executor workers, with
+/// Long-running in-process spatial-join service over the caller's buffer
+/// pool: the JoinRouter scheduler over one borrowed shard. Datasets are
+/// registered by name and read in place — no copy, no second pool, OIDs
+/// and sinks exactly the caller's. It adds to the router's single-shard
+/// behaviour only registration and the cache accessor; planning, index
+/// caching, admission, timeouts, views, Explain and drain/abort Shutdown
+/// are the scheduler's (see JoinRouter).
 ///
-///  - admission control: each query reserves its operator memory budget
-///    against a fraction of the buffer pool before running, so concurrent
-///    joins cannot collectively thrash the pool;
-///  - cost-based planning: requests without a method override are routed
-///    by PlanJoin() over catalog stats and per-dataset histograms;
-///  - index caching: R*-trees built for kRtree/kInl queries are retained
-///    in a sharded LRU (IndexCache) and reused until the dataset is
-///    dropped, making repeat index-method queries skip the build;
-///  - per-query timeouts and cancellation via Canceller chaining (a
-///    watchdog thread cancels queries past their deadline);
-///  - graceful drain: Shutdown(true) finishes every queued query,
-///    Shutdown(false) fails queued queries and cancels running ones.
-///
-/// Thread-safety: every public method may be called from any thread.
-/// Datasets are registered by name; the service borrows the HeapFile (the
-/// caller keeps ownership and must keep it alive until DropDataset or
-/// shutdown).
-class JoinService {
+/// Thread-safety: every public method may be called from any thread. The
+/// service borrows each HeapFile; the caller keeps ownership and must keep
+/// it alive until DropDataset or shutdown.
+class JoinService : public JoinRouter {
  public:
   JoinService(BufferPool* pool, JoinServiceConfig config);
-  ~JoinService();  ///< Shutdown(/*drain=*/false) if still running.
-
-  JoinService(const JoinService&) = delete;
-  JoinService& operator=(const JoinService&) = delete;
 
   /// Registers `name` for use in requests. Scans the heap once to build
   /// the planner histogram and the MBR table used for window filtering
@@ -207,168 +50,8 @@ class JoinService {
   Status RegisterDataset(const std::string& name, const HeapFile* heap,
                          const RelationInfo& info, bool build_stats = true);
 
-  /// Unregisters `name` and invalidates every cached index over it.
-  /// Running queries keep their index refs (cache pinning contract).
-  Status DropDataset(const std::string& name);
-
-  /// Enqueues a query. Fails fast with kResourceExhausted when the queue
-  /// is full (backpressure), kNotFound for unknown datasets, and
-  /// kFailedPrecondition after shutdown began.
-  Result<std::shared_ptr<JoinQuery>> Submit(JoinRequest request);
-
-  /// Submit + Wait convenience for synchronous callers.
-  Result<JoinResponse> Execute(JoinRequest request);
-
-  /// Plans `request` without executing it: runs the cost-based planner
-  /// (or honours the forced method), builds the operator tree the exec
-  /// layer would drive, and returns both renderings. Touches no heap pages
-  /// beyond the statistics already captured at registration and never
-  /// builds indexes.
-  Result<ExplainResult> Explain(const JoinRequest& request) const;
-
-  /// Registers a materialized join view named `view_name` over two
-  /// registered datasets and runs the base join to populate it. The view is
-  /// then kept current through ViewInsert/ViewDelete. Fails with
-  /// kAlreadyExists-style kInvalidArgument when the name is taken.
-  Status CreateView(const std::string& view_name, const std::string& r_dataset,
-                    const std::string& s_dataset,
-                    SpatialPredicate predicate = SpatialPredicate::kIntersects,
-                    uint32_t num_tiles = 256);
-
-  /// Unregisters a view. Queries already streaming it finish first (shared
-  /// ownership).
-  Status DropView(const std::string& view_name);
-
-  /// Names of all registered views, sorted.
-  std::vector<std::string> ListViews() const;
-
-  /// Emits the view's current pair set (ascending) to `sink` and returns
-  /// the pair count — the warm path that replaces re-running the join.
-  Result<uint64_t> QueryView(const std::string& view_name,
-                             const ResultSink& sink) const;
-
-  /// Applies one tuple insertion to a view's side. The caller must have
-  /// already appended the tuple to the side's heap at `oid` (the view
-  /// fetches counterpart tuples through the shared buffer pool). Also
-  /// invalidates cached indexes over the mutated dataset — they no longer
-  /// reflect the heap.
-  Status ViewInsert(const std::string& view_name,
-                    MaterializedJoinView::Side side, Oid oid,
-                    const Tuple& tuple);
-
-  /// Logical deletion of `oid` from a view's side; invalidates cached
-  /// indexes over the mutated dataset.
-  Status ViewDelete(const std::string& view_name,
-                    MaterializedJoinView::Side side, Oid oid);
-
-  /// Stops accepting queries; with `drain` finishes everything queued,
-  /// otherwise fails queued queries (kCancelled) and cancels running ones.
-  /// Idempotent; the first call's drain mode wins. Blocks until workers
-  /// and the watchdog have exited.
-  void Shutdown(bool drain = true);
-
-  IndexCache& cache() { return cache_; }
-  size_t queue_depth() const { return queue_.size(); }
-  uint32_t num_workers() const { return config_.num_workers; }
-
- private:
-  struct Dataset {
-    const HeapFile* heap = nullptr;
-    RelationInfo info;
-    std::optional<SpatialHistogram> histogram;
-    /// Oid.Encode() -> feature MBR; only when build_stats was set.
-    std::unordered_map<uint64_t, Rect> mbrs;
-  };
-  using DatasetRef = std::shared_ptr<const Dataset>;
-  using QueryRef = std::shared_ptr<JoinQuery>;
-
-  /// One registered view plus the dataset names it joins, so mutations can
-  /// invalidate the right cache entries and DropDataset can refuse while a
-  /// view still depends on the dataset.
-  struct ViewEntry {
-    std::shared_ptr<MaterializedJoinView> view;
-    std::string r_dataset;
-    std::string s_dataset;
-  };
-
-  void WorkerLoop();
-  void WatchdogLoop();
-  void RunQuery(const QueryRef& query);
-  /// Executes the join itself; factored out so RunQuery owns bookkeeping
-  /// (admission, metrics, completion) and this owns planning + dispatch.
-  Result<JoinResponse> ExecuteJoin(const QueryRef& query, const DatasetRef& r,
-                                   const DatasetRef& s);
-  void Complete(const QueryRef& query, Result<JoinResponse> result);
-
-  Result<DatasetRef> FindDataset(const std::string& name) const;
-  Result<ViewEntry> FindView(const std::string& name) const;
-  /// Common tail of ViewInsert/ViewDelete: cache invalidation over the
-  /// mutated side's dataset.
-  void InvalidateAfterViewMutation(const ViewEntry& entry,
-                                   MaterializedJoinView::Side side);
-
-  /// Blocks until `bytes` of admission budget is free, the query is
-  /// cancelled, or the service stops draining. True on success.
-  bool AdmitMemory(size_t bytes, const QueryRef& query);
-  void ReleaseMemory(size_t bytes);
-
-  BufferPool* pool_;
-  const JoinServiceConfig config_;
-  IndexCache cache_;
-
-  BoundedQueue<QueryRef> queue_;
-  ThreadPool workers_;
-  std::thread watchdog_;
-
-  mutable std::mutex datasets_mutex_;
-  std::map<std::string, DatasetRef> datasets_;
-
-  mutable std::mutex views_mutex_;
-  std::map<std::string, ViewEntry> views_;
-
-  // Admission budget (bytes). Guarded by admission_mutex_; admission_cv_
-  // wakes waiters on release and on shutdown.
-  std::mutex admission_mutex_;
-  std::condition_variable admission_cv_;
-  size_t admission_budget_ = 0;
-  size_t admission_used_ = 0;
-
-  // Deadline heap for the watchdog: (deadline, query). weak_ptr so a
-  // finished query's ticket can die before its deadline fires.
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  using Deadline =
-      std::pair<std::chrono::steady_clock::time_point, std::weak_ptr<JoinQuery>>;
-  struct DeadlineLater {
-    bool operator()(const Deadline& a, const Deadline& b) const {
-      return a.first > b.first;
-    }
-  };
-  std::priority_queue<Deadline, std::vector<Deadline>, DeadlineLater>
-      deadlines_;
-
-  // In-flight queries (weak: a finished ticket may be released by its
-  // client before shutdown looks). Non-drain shutdown cancels them all.
-  std::mutex running_mutex_;
-  std::vector<std::weak_ptr<JoinQuery>> running_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> draining_{true};
-  std::mutex shutdown_mutex_;
-  bool shutdown_complete_ = false;  ///< Guarded by shutdown_mutex_.
-
-  Gauge* queue_depth_gauge_;
-  Gauge* running_gauge_;
-  Counter* submitted_;
-  Counter* completed_;
-  Counter* failed_;
-  Counter* cancelled_;
-  Counter* admission_rejects_;
-  Counter* admission_waits_;
-  Counter* planned_;
-  Histogram* latency_interactive_us_;
-  Histogram* latency_batch_us_;
-  Histogram* queue_wait_us_;
+  IndexCache& cache() { return *shards().shard(0).cache; }
+  size_t queue_depth() const { return JoinRouter::queue_depth(0); }
 };
 
 }  // namespace pbsm

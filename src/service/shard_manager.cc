@@ -11,7 +11,7 @@
 namespace pbsm {
 
 ShardManager::ShardManager(ShardManagerConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), borrowed_(false) {
   const uint32_t n = std::max(1u, config_.num_shards);
   if (config_.scratch_dir.empty()) {
     char tmpl[] = "/tmp/pbsm_shards_XXXXXX";
@@ -28,14 +28,20 @@ ShardManager::ShardManager(ShardManagerConfig config)
     shard->dir = base_dir_ + "/shard" + std::to_string(i);
     shard->disk =
         std::make_unique<DiskManager>(shard->dir, config_.disk_model);
-    shard->pool = std::make_unique<BufferPool>(
+    shard->owned_pool = std::make_unique<BufferPool>(
         shard->disk.get(), config_.shard_pool_bytes, config_.io_retry);
-    shard->cache =
-        std::make_unique<IndexCache>(shard->pool.get(), config_.cache);
+    shard->pool = shard->owned_pool.get();
+    shard->cache = std::make_unique<IndexCache>(shard->pool, config_.cache);
     shards_.push_back(std::move(shard));
   }
-  replicated_ = MetricsRegistry::Global().GetCounter(
-      "service.shard.replicated_tuples");
+}
+
+ShardManager::ShardManager(BufferPool* pool) : config_(), borrowed_(true) {
+  auto shard = std::make_unique<Shard>();
+  shard->pool = pool;
+  shard->cache = std::make_unique<IndexCache>(pool, config_.cache);
+  shards_.push_back(std::move(shard));
+  layout_frozen_ = true;  // One strip: shard 0 owns everything.
 }
 
 ShardManager::~ShardManager() {
@@ -88,12 +94,14 @@ Status ShardManager::EnsureLayout(const HeapFile* heap,
 
 Status ShardManager::RegisterDataset(const std::string& name,
                                      const HeapFile* heap,
-                                     const RelationInfo& info) {
+                                     const RelationInfo& info,
+                                     bool build_stats) {
   if (heap == nullptr) {
     return Status::InvalidArgument("RegisterDataset: null heap for '" + name +
                                    "'");
   }
   std::lock_guard<std::mutex> register_lock(register_mutex_);
+  if (borrowed_) return RegisterBorrowed(name, heap, info, build_stats);
   PBSM_RETURN_IF_ERROR(EnsureLayout(heap, info));
   const ShardLayout layout = this->layout();  // Frozen: safe to copy once.
 
@@ -106,9 +114,10 @@ Status ShardManager::RegisterDataset(const std::string& name,
     slices[i] = std::make_unique<ShardDataset>();
     PBSM_ASSIGN_OR_RETURN(
         HeapFile slice_heap,
-        HeapFile::Create(shards_[i]->pool.get(),
+        HeapFile::Create(shards_[i]->pool,
                          name + ".shard" + std::to_string(i)));
-    slices[i]->heap = std::make_unique<HeapFile>(std::move(slice_heap));
+    slices[i]->owned_heap = std::make_unique<HeapFile>(std::move(slice_heap));
+    slices[i]->heap = slices[i]->owned_heap.get();
     slices[i]->info.name = name;
   }
 
@@ -122,7 +131,7 @@ Status ShardManager::RegisterDataset(const std::string& name,
     for (uint32_t sh = range.first; sh <= range.last; ++sh) {
       ShardDataset& slice = *slices[sh];
       PBSM_ASSIGN_OR_RETURN(const Oid local_oid,
-                            slice.heap->Append(data, size));
+                            slice.owned_heap->Append(data, size));
       slice.local_to_global.emplace(local_oid.Encode(), global_oid);
       slice.mbrs.emplace(local_oid.Encode(), mbr);
       slice.info.cardinality += 1;
@@ -154,9 +163,36 @@ Status ShardManager::RegisterDataset(const std::string& name,
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.catalog.Register(slices[i]->info);
     shard.datasets[name] = ShardDatasetRef(std::move(slices[i]));
   }
+  return Status::OK();
+}
+
+Status ShardManager::RegisterBorrowed(const std::string& name,
+                                      const HeapFile* heap,
+                                      const RelationInfo& info,
+                                      bool build_stats) {
+  auto dataset = std::make_unique<ShardDataset>();
+  dataset->heap = heap;
+  dataset->info = info;
+  if (build_stats && info.cardinality > 0 && !info.universe.empty()) {
+    TraceSpan span("service/register_stats");
+    SpatialHistogram hist(info.universe, config_.histogram_nx,
+                          config_.histogram_ny);
+    dataset->mbrs.reserve(info.cardinality);
+    PBSM_RETURN_IF_ERROR(
+        heap->Scan([&](Oid oid, const char* data, size_t size) -> Status {
+          PBSM_ASSIGN_OR_RETURN(const Tuple tuple, Tuple::Parse(data, size));
+          const Rect mbr = tuple.geometry.Mbr();
+          hist.Add(mbr);
+          dataset->mbrs.emplace(oid.Encode(), mbr);
+          return Status::OK();
+        }));
+    dataset->histogram.emplace(std::move(hist));
+  }
+  Shard& shard = *shards_[0];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.datasets[name] = std::move(dataset);
   return Status::OK();
 }
 

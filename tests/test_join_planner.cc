@@ -199,7 +199,7 @@ class PlanShardedJoinTest : public ::testing::Test {
       PBSM_ASSERT_OK(shards_->shard(shard)
                          .cache
                          ->GetOrBuild(
-                             JoinInput{dataset->heap.get(), dataset->info},
+                             JoinInput{dataset->heap, dataset->info},
                              fill)
                          .status());
     }

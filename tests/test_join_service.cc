@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -219,6 +221,63 @@ TEST_F(JoinServiceTest, TimeoutCancelsMidFlight) {
   PBSM_ASSERT_OK_AND_ASSIGN(const JoinResponse after,
                             env.service->Execute(again));
   EXPECT_GT(after.num_results, 0u);
+  env.service->Shutdown(/*drain=*/true);
+  EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
+}
+
+// The deadline is armed at Submit, so time spent queued counts: a query
+// whose timeout expires behind a slow one completes kCancelled without
+// ever running.
+TEST_F(JoinServiceTest, TimeoutExpiresWhileQueued) {
+  Env env;
+  JoinServiceConfig config;
+  config.num_workers = 1;
+  Start(&env, config);
+
+  // Hold the only worker inside the slow query's sink.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  JoinRequest slow;
+  slow.r_dataset = "road";
+  slow.s_dataset = "hydro";
+  slow.method = JoinMethod::kPbsm;
+  slow.sink = [&](Oid, Oid) {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+  };
+  PBSM_ASSERT_OK_AND_ASSIGN(const auto running,
+                            env.service->Submit(std::move(slow)));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return started; }));
+  }
+
+  std::atomic<int> sink_calls{0};
+  JoinRequest queued;
+  queued.r_dataset = "road";
+  queued.s_dataset = "rail";
+  queued.method = JoinMethod::kPbsm;
+  queued.timeout_seconds = 0.01;
+  queued.sink = [&sink_calls](Oid, Oid) { sink_calls.fetch_add(1); };
+  PBSM_ASSERT_OK_AND_ASSIGN(const auto waiting,
+                            env.service->Submit(std::move(queued)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+    cv.notify_all();
+  }
+
+  const Result<JoinResponse>& result = waiting->Wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sink_calls.load(), 0) << "a query that timed out queued ran";
+  EXPECT_TRUE(running->Wait().ok()) << running->Wait().status().ToString();
   env.service->Shutdown(/*drain=*/true);
   EXPECT_EQ(env.storage.pool()->pinned_frames(), 0u);
 }

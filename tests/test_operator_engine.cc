@@ -18,6 +18,7 @@
 #include "datagen/tiger_gen.h"
 #include "exec/basic_ops.h"
 #include "exec/plan_builder.h"
+#include "service/join_planner.h"
 #include "service/join_service.h"
 #include "tests/join_test_harness.h"
 #include "tests/test_util.h"

@@ -163,6 +163,25 @@ TEST_F(ParallelPbsmExecTest, PartitionOverrideIsRespected) {
   EXPECT_EQ(result->breakdown.num_partitions, 3u);
 }
 
+// The balance metric counts key pointers per partition, so thread timing
+// cannot move it: two runs of one configuration agree exactly, in both
+// dedup modes.
+TEST_F(ParallelPbsmExecTest, SweepBalanceIsDeterministic) {
+  for (const DedupMode dedup : {DedupMode::kTwoLayer, DedupMode::kMerge}) {
+    JoinOptions opts;
+    opts.dedup_mode = dedup;
+    opts.memory_budget_bytes = 1 << 20;
+    opts.num_threads = 4;
+    opts.num_tiles = 64;
+    ParallelJoinStats first, second;
+    ASSERT_TRUE(RunParallel(opts, nullptr, &first).ok());
+    ASSERT_TRUE(RunParallel(opts, nullptr, &second).ok());
+    EXPECT_GT(first.SweepBalanceCov(), 0.0);
+    EXPECT_EQ(first.SweepBalanceCov(), second.SweepBalanceCov());
+    EXPECT_EQ(first.sweep_task_key_pointers, second.sweep_task_key_pointers);
+  }
+}
+
 TEST_F(ParallelPbsmExecTest, CostBreakdownHasAllPhases) {
   // Default (two-layer) mode: no merge phase exists — its absence from the
   // breakdown is the observable contract of duplicate-free filtering.

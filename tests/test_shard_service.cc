@@ -206,7 +206,7 @@ TEST_F(ShardServiceTest, MidFlightCancellationReachesAllShards) {
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   };
 
-  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<RouterQuery> query,
+  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<JoinQuery> query,
                             router.Submit(std::move(request)));
   {
     std::unique_lock<std::mutex> lock(mutex);
@@ -247,13 +247,13 @@ TEST_F(ShardServiceTest, GracefulDrainCompletesEverythingQueued) {
   config.workers_per_shard = 1;
   JoinRouter router(&*env.shards, config);
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 6; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -271,13 +271,13 @@ TEST_F(ShardServiceTest, AbortShutdownSettlesEveryQuery) {
   Start(&env, 2);
   JoinRouter router(&*env.shards, {});
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 8; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -350,18 +350,18 @@ TEST_F(ShardServiceTest, BackpressureRejectsWholeQueryAndRecovers) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   };
-  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<RouterQuery> running,
+  PBSM_ASSERT_OK_AND_ASSIGN(const std::shared_ptr<JoinQuery> running,
                             router.Submit(std::move(blocker)));
   // Give the workers a moment to pop the blocker's sub-joins.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  std::vector<std::shared_ptr<RouterQuery>> queued;
+  std::vector<std::shared_ptr<JoinQuery>> queued;
   for (int i = 0; i < 2; ++i) {  // queue_capacity per shard.
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queued.push_back(std::move(query));
   }
@@ -410,14 +410,14 @@ TEST_F(ShardServiceTest, StealingDrainsForcedSkew) {
   config.steal_poll_seconds = 0.001;
   JoinRouter router(&*env.shards, config);
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 16; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
     request.window = window;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -458,14 +458,14 @@ TEST_F(ShardServiceTest, SpeculativeRedispatchMovesQueuedStragglers) {
   config.speculative_deadline_seconds = 0.002;
   JoinRouter router(&*env.shards, config);
 
-  std::vector<std::shared_ptr<RouterQuery>> queries;
+  std::vector<std::shared_ptr<JoinQuery>> queries;
   for (int i = 0; i < 12; ++i) {
     JoinRequest request;
     request.r_dataset = "road";
     request.s_dataset = "hydro";
     request.method = JoinMethod::kPbsm;
     request.window = window;
-    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<RouterQuery> query,
+    PBSM_ASSERT_OK_AND_ASSIGN(std::shared_ptr<JoinQuery> query,
                               router.Submit(std::move(request)));
     queries.push_back(std::move(query));
   }
@@ -479,6 +479,64 @@ TEST_F(ShardServiceTest, SpeculativeRedispatchMovesQueuedStragglers) {
 
   router.Shutdown(/*drain=*/true);
   ExpectZeroPinnedPerShard(env);
+}
+
+// Explain plans each shard from its own slice statistics and cache state,
+// one "shardN:" block per shard, and builds and runs nothing.
+TEST_F(ShardServiceTest, ExplainNamesAMethodForEveryShard) {
+  Env env;
+  Start(&env, 4);
+  JoinRouter router(&*env.shards, {});
+  JoinRequest request;
+  request.r_dataset = "road";
+  request.s_dataset = "hydro";
+
+  PBSM_ASSERT_OK_AND_ASSIGN(const ExplainResult planned,
+                            router.Explain(request));
+  EXPECT_TRUE(planned.planner_chosen);
+  for (uint32_t i = 0; i < 4; ++i) {
+    const std::string tag = "shard" + std::to_string(i) + ": ";
+    const size_t at = planned.plan.find(tag);
+    ASSERT_NE(at, std::string::npos) << planned.plan;
+    // Each cost table opens with the method the planner picks there.
+    const size_t begin = at + tag.size();
+    const std::string method =
+        planned.plan.substr(begin, planned.plan.find('(', begin) - begin);
+    EXPECT_TRUE(ParseJoinMethod(method).has_value())
+        << "shard " << i << " plan names no method: " << planned.plan;
+    EXPECT_NE(planned.tree.find("shard" + std::to_string(i) + ":"),
+              std::string::npos);
+  }
+
+  request.method = JoinMethod::kSpatialHash;
+  PBSM_ASSERT_OK_AND_ASSIGN(const ExplainResult forced,
+                            router.Explain(request));
+  EXPECT_FALSE(forced.planner_chosen);
+  EXPECT_EQ(forced.method, JoinMethod::kSpatialHash);
+  size_t filters = 0;
+  for (size_t at = forced.tree.find("spatial_hash filter");
+       at != std::string::npos;
+       at = forced.tree.find("spatial_hash filter", at + 1)) {
+    ++filters;
+  }
+  EXPECT_EQ(filters, 4u) << forced.tree;
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(env.shards->shard(i).cache->size(), 0u)
+        << "explain must not build indexes";
+  }
+  router.Shutdown(/*drain=*/true);
+}
+
+// Views maintain pairs over the caller's own heaps, which only the
+// borrowed shard of a JoinService serves.
+TEST_F(ShardServiceTest, CreateViewNeedsTheBorrowedShard) {
+  Env env;
+  Start(&env, 2);
+  JoinRouter router(&*env.shards, {});
+  EXPECT_EQ(router.CreateView("v", "road", "hydro").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(router.ListViews().empty());
+  router.Shutdown(/*drain=*/true);
 }
 
 TEST_F(ShardServiceTest, UnknownDatasetAndTimeoutsAreRejected) {
