@@ -108,14 +108,14 @@ void Run() {
         "\"critical_path_speedup\": %.3f, \"sweep_balance_cov\": %.4f, "
         "\"partitions\": %u, \"candidates\": %llu, \"results\": %llu, "
         "\"partition_wall\": %.4f, \"sweep_wall\": %.4f, "
-        "\"merge_wall\": %.4f, \"refine_wall\": %.4f}",
+        "\"refine_wall\": %.4f}",
         threads, hw, stats.total_wall_seconds, wall_speedup,
         stats.CriticalPathSpeedup(), stats.SweepBalanceCov(),
         joined.breakdown.num_partitions,
         static_cast<unsigned long long>(joined.breakdown.candidates),
         static_cast<unsigned long long>(joined.breakdown.results),
         stats.partition_wall_seconds, stats.sweep_wall_seconds,
-        stats.merge_wall_seconds, stats.refine_wall_seconds);
+        stats.refine_wall_seconds);
     emit(json);
   }
 

@@ -299,6 +299,9 @@ int RunServe(const CliFlags& flags, const std::string& r_path,
   JoinRouterConfig config;
   config.workers_per_shard = flags.workers;
   config.queue_capacity = flags.queue_capacity;
+  // Shard workers supply the parallelism: serial sub-joins, so the planner
+  // never starts a thread pool per slice beside them.
+  config.join_defaults.num_threads = 1;
   JoinRouter scheduler(shards.get(), config);
 
   std::printf("serving R=%s (%llu) S=%s (%llu) over %u shard(s); commands: "
@@ -553,6 +556,7 @@ int RunCli(int argc, const char** argv) {
       return kExitRuntime;
     }
     JoinRouterConfig router_config;
+    router_config.join_defaults.num_threads = 1;  // Serial sub-joins.
     JoinRouter router(&shards, router_config);
     std::mutex sink_mutex;
     JoinRequest request;

@@ -41,10 +41,9 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
                                        const JoinInput& input,
                                        const std::string& index_name,
                                        double fill_factor,
-                                       size_t memory_budget,
-                                       NodeLayout layout) {
+                                       size_t memory_budget) {
   if (input.heap->num_records() == 0) {
-    return RStarTree::BulkLoad(pool, index_name, {}, fill_factor, layout);
+    return RStarTree::BulkLoad(pool, index_name, {}, fill_factor);
   }
 
   // The spatial sort key comes from the catalog universe (computed here if
@@ -93,7 +92,7 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
           *out = RTreeEntry{tuple.geometry.Mbr(), oid.Encode()};
           return true;
         },
-        fill_factor, layout);
+        fill_factor);
   }
 
   // Pass 2b: external sort of the key-pointers under the operator's memory
@@ -119,7 +118,7 @@ Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
         *out = keyed.entry;
         return true;
       },
-      fill_factor, layout);
+      fill_factor);
 }
 
 Result<RStarTree> BuildIndexByInserts(BufferPool* pool,

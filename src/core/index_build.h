@@ -20,14 +20,13 @@ Result<std::vector<RTreeEntry>> ExtractKeyPointers(const HeapFile& heap);
 /// MBR center, pack bottom-up. The sort is an external sort bounded by
 /// `memory_budget` (runs spill through the buffer pool); when the relation
 /// is already in Hilbert order — a clustered load — the sort is skipped,
-/// which is the clustering saving of Figure 10. `layout` selects the
-/// in-memory node representation (rtree/node_layout.h).
+/// which is the clustering saving of Figure 10. The tree carries quantized
+/// node ribbons (rtree/node_ribbon.h).
 Result<RStarTree> BuildIndexByBulkLoad(BufferPool* pool,
                                        const JoinInput& input,
                                        const std::string& index_name,
                                        double fill_factor,
-                                       size_t memory_budget = 64ull << 20,
-                                       NodeLayout layout = NodeLayout::kAuto);
+                                       size_t memory_budget = 64ull << 20);
 
 /// Builds an R*-tree on `input` with one Insert per tuple — the expensive
 /// construction path the paper contrasts with bulk loading (§1).

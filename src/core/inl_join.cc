@@ -28,7 +28,7 @@ Status InlFilter(BufferPool* pool, const JoinInput& indexed,
         BuildIndexByBulkLoad(pool, indexed,
                              "inl_idx_" + indexed.info.name + ".rtree",
                              opts.index_fill_factor,
-                             opts.memory_budget_bytes, opts.rtree_layout));
+                             opts.memory_budget_bytes));
     built.emplace(std::move(tree));
     index = &*built;
   }

@@ -25,33 +25,22 @@
 namespace pbsm {
 
 /// Real shared-memory parallel PBSM join (the paper's §5 direction, run on
-/// a work-stealing thread pool). The phase structure depends on
-/// opts.dedup_mode.
-///
-/// kTwoLayer (default; duplicate-free, see core/two_layer_filter.h):
+/// a work-stealing thread pool) over the duplicate-free two-layer filter
+/// (core/two_layer_filter.h), in three phases:
 ///  * "partition inputs": page ranges of both inputs split across scan
 ///    tasks, each replicating tuples into per-partition buffers as
 ///    corner-classed tile copies (no locks);
 ///  * "filter partitions": each partition is an independent task running
 ///    the class-pair mini-joins — globally, every candidate pair is
-///    emitted exactly once, so each task just sorts its own run into the
-///    executing worker's arena;
-///  * "refinement": each non-empty partition run is a shard, refined
-///    concurrently. No merge phase exists in this mode.
+///    emitted exactly once, so each task appends its run to the executing
+///    worker's arena. Partitions are processed whole (no §3.5 repartition);
+///  * "refinement": the arenas are concatenated and sorted once, sharded
+///    on OID_R boundaries and refined concurrently (each shard fetches
+///    disjoint R tuples through the thread-safe buffer pool).
+/// No merge-dedup phase exists. opts.dedup_mode is ignored: the paper's
+/// merge-dedup reference point is the serial PbsmFilter.
 ///
-/// kMerge (the paper's replicate-then-dedup scheme):
-///  * "partition inputs": as above, but with plain key-pointer copies;
-///  * "sweep partitions": each partition pair is an independent task —
-///    gather the thread-local buffers for that partition, plane-sweep them
-///    (recursive in-memory repartition on budget overflow, §3.5), sort the
-///    emitted candidates;
-///  * "merge candidates": the sorted per-partition candidate runs are
-///    k-way merged with duplicate elimination (serial);
-///  * "refinement": the de-duplicated array is sharded on OID_R boundaries
-///    and refined concurrently (each shard fetches disjoint R tuples
-///    through the now thread-safe buffer pool).
-///
-/// Produces exactly the de-duplicated result pairs of serial PBSM.
+/// Produces exactly the result pairs of serial PBSM.
 /// `sink` may be called concurrently from worker threads (calls are
 /// serialised internally, but arrival order is nondeterministic).
 ///

@@ -11,7 +11,6 @@
 #include "core/refinement_engine.h"
 #include "core/spatial_partitioner.h"
 #include "geom/predicates.h"
-#include "rtree/node_layout.h"
 #include "storage/catalog.h"
 #include "storage/heap_file.h"
 
@@ -48,13 +47,12 @@ struct JoinOptions {
   SimdMode simd = SimdMode::kAuto;
   /// 0 = use Equation 1; otherwise forces the partition count.
   uint32_t num_partitions_override = 0;
-  /// How pbsm/parallel_pbsm avoid emitting replicated candidates twice.
+  /// How serial pbsm avoids emitting replicated candidates twice.
   /// kTwoLayer (default) tags tile copies with corner classes and runs
   /// duplicate-free per-tile mini-joins — no merge-dedup stage at all.
   /// kMerge is the paper's replicate-then-merge-dedup scheme, kept as the
-  /// differential reference; it is also the only mode with the §3.5
-  /// dynamic repartition path (two-layer partitions are processed whole).
-  /// Other join methods ignore this knob.
+  /// paper reference point and differential reference. parallel_pbsm is
+  /// always two-layer and, like the other join methods, ignores this knob.
   DedupMode dedup_mode = DedupMode::kTwoLayer;
 
   // --- Partition overflow handling (§3.5; extension, on by default) ---
@@ -74,10 +72,6 @@ struct JoinOptions {
 
   // --- Index construction (INL / R-tree join) ---
   double index_fill_factor = 0.75;
-  /// In-memory node layout of bulk-loaded trees (SoA ribbons / quantized
-  /// prefilter lanes; see rtree/node_layout.h). kAuto consults the
-  /// PBSM_RTREE_LAYOUT environment variable, defaulting to quantized.
-  NodeLayout rtree_layout = NodeLayout::kAuto;
 
   // --- Parallel execution (ParallelPbsmJoin; serial joins ignore it) ---
   /// Worker threads for the parallel executor. 0 = hardware concurrency.

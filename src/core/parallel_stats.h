@@ -14,12 +14,8 @@ struct ParallelJoinStats {
   uint32_t num_threads = 0;
 
   double partition_wall_seconds = 0.0;  ///< Parallel filter scan + route.
-  /// Concurrent per-partition filter tasks: plane sweeps (kMerge) or
-  /// duplicate-free mini-joins (kTwoLayer).
+  /// Concurrent per-partition duplicate-free mini-joins.
   double sweep_wall_seconds = 0.0;
-  /// Serial candidate merge + dedup. Always 0 under kTwoLayer — the phase
-  /// does not exist there (its disappearance is the point of the scheme).
-  double merge_wall_seconds = 0.0;
   double refine_wall_seconds = 0.0;     ///< Parallel sharded refinement.
   double total_wall_seconds = 0.0;
 

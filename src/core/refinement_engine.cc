@@ -35,9 +35,8 @@ Result<RefineMode> ParseRefineMode(const std::string& name) {
 // ---------------------------------------------------------------------------
 // CellGrid
 
-CellGrid::CellGrid(const Rect& universe, uint32_t order,
-                   SpaceFillingCurve::Kind curve)
-    : universe_(universe), order_(order), curve_(curve) {
+CellGrid::CellGrid(const Rect& universe, uint32_t order)
+    : universe_(universe), order_(order) {
   PBSM_CHECK(order_ >= 1 && order_ <= 31) << "grid order " << order_;
   const double n = static_cast<double>(uint64_t{1} << order_);
   if (universe_.width() > 0) {
@@ -76,9 +75,7 @@ Rect CellGrid::CellRect(uint32_t ix, uint32_t iy, uint32_t precision) const {
 
 uint64_t CellGrid::CellKey(uint32_t ix, uint32_t iy,
                            uint32_t precision) const {
-  return curve_ == SpaceFillingCurve::Kind::kHilbert
-             ? HilbertD2XY(precision, ix, iy)
-             : ZOrderKey(precision, ix, iy);
+  return HilbertD2XY(precision, ix, iy);
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ void RasterizeGeometry(const Geometry& geometry, const CellGrid& grid,
   // Finest-order index range of the epsilon-expanded MBR, then the coarsest
   // shift d at which the object's span fits the cell budget. The per-object
   // precision is p = order - d (>= 1); a precision-p cell is a contiguous
-  // run of 4^d finest-order keys on both curves (hierarchical prefix
+  // run of 4^d finest-order keys (the Hilbert curve's hierarchical prefix
   // property).
   const uint32_t ix_lo = grid.CellX(mbr.xlo - ex);
   const uint32_t ix_hi = grid.CellX(mbr.xhi + ex);
@@ -916,7 +913,7 @@ std::unique_ptr<RefinementEngine> RefinementEngine::Create(
       opts.grid_order != 0
           ? std::clamp<uint32_t>(opts.grid_order, 1, 24)
           : ChooseGridOrder(universe, avg_extent_x, avg_extent_y);
-  const CellGrid grid(universe, order, opts.curve);
+  const CellGrid grid(universe, order);
   return std::make_unique<AdaptiveRefinementEngine>(
       pred, opts.mode == RefineMode::kApproximate, grid,
       opts.max_cells_per_object);

@@ -29,7 +29,7 @@ Status JoinNodes(const RStarTree& r_tree, uint32_t r_page,
 
 /// BKS93 node pair over in-memory ribbons: every same-level entry pairing
 /// runs as masked window scans of the S ribbon (one scan per R entry, 16
-/// quantized or 4 double lanes per compare) instead of the per-pair plane
+/// quantized lanes per compare) instead of the per-pair plane
 /// sweep, and nothing touches the BufferPool. Matches go to `sorter` at the
 /// leaf level; child pairs recurse through JoinNodes (which re-enters here
 /// while ribbons exist).
@@ -207,7 +207,7 @@ Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
         RStarTree tree,
         BuildIndexByBulkLoad(pool, r, "rtj_idx_" + r.info.name + ".rtree",
                              opts.index_fill_factor,
-                             opts.memory_budget_bytes, opts.rtree_layout));
+                             opts.memory_budget_bytes));
     r_built.emplace(std::move(tree));
     r_index = &*r_built;
   }
@@ -219,7 +219,7 @@ Status RtreeFilter(BufferPool* pool, const JoinInput& r, const JoinInput& s,
         RStarTree tree,
         BuildIndexByBulkLoad(pool, s, "rtj_idx_" + s.info.name + ".rtree",
                              opts.index_fill_factor,
-                             opts.memory_budget_bytes, opts.rtree_layout));
+                             opts.memory_budget_bytes));
     s_built.emplace(std::move(tree));
     s_index = &*s_built;
   }

@@ -64,7 +64,7 @@ struct JoinSpec {
   /// Knobs shared by every algorithm (memory budget, tiles, thread count
   /// for the parallel executor, ...). Of note: options.dedup_mode selects
   /// the duplicate-free two-layer filter (default) or the paper's
-  /// replicate-then-merge-dedup scheme for the PBSM methods, and
+  /// replicate-then-merge-dedup scheme for serial kPbsm, and
   /// options.refine holds the adaptive-refinement knobs — refinement is
   /// shared by every method (INL always refines exactly), so its options
   /// live with the other shared knobs rather than as a per-method group

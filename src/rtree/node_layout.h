@@ -5,41 +5,23 @@
 
 namespace pbsm {
 
-/// In-memory node representation of a bulk-loaded R*-tree (the SIMD-ified
-/// layouts of arXiv 2309.16913; see DESIGN.md "SIMD-ified index traversal").
+/// In-memory node representation of an R*-tree (the SIMD-ified layout of
+/// arXiv 2309.16913; see DESIGN.md "SIMD-ified index traversal").
 ///
 ///  * kAos — no acceleration structure: every node scan parses the 8 KiB
-///    page through the BufferPool and runs the entry-array kernel (the
-///    pre-ribbon behaviour; also what Insert/Delete-mutated trees fall
-///    back to).
-///  * kSoa — per-node "ribbons": xlo/xhi/ylo/yhi double lanes in contiguous
-///    64-byte-aligned columns, built once at bulk load and owned by the
-///    tree, so node scans skip page parsing entirely.
-///  * kSoaQuantized — ribbons plus uint16 lanes quantized to the node MBR
-///    with expand-outward rounding: a conservative 16-lane prefilter whose
-///    survivors are re-verified against the double lanes, so results stay
-///    exactly identical to kAos.
-///  * kAuto — consult the PBSM_RTREE_LAYOUT environment variable
-///    (`auto|aos|soa|quantized`), defaulting to kSoaQuantized.
-enum class NodeLayout { kAuto, kAos, kSoa, kSoaQuantized };
+///    page through the BufferPool and runs the entry-array kernel. What
+///    Insert/Delete-mutated trees fall back to, and the page-scan baseline
+///    of bench_micro_rtree --compare-layouts.
+///  * kSoaQuantized — per-node "ribbons" built once at bulk load and owned
+///    by the tree: xlo/xhi/ylo/yhi double lanes plus uint16 lanes quantized
+///    to the node MBR with expand-outward rounding. Node scans skip page
+///    parsing and run a conservative 16-lane prefilter whose survivors are
+///    re-verified against the double lanes, so results stay exactly
+///    identical to kAos. Every bulk load builds this layout by default.
+enum class NodeLayout { kAos, kSoaQuantized };
 
-/// "aos" / "soa" / "quantized" — used by benches, baselines and logs.
+/// "aos" / "quantized" — used by benches, baselines and logs.
 std::string_view NodeLayoutName(NodeLayout layout);
-
-/// Resolves kAuto through the PBSM_RTREE_LAYOUT environment variable
-/// (`auto|aos|soa|quantized`; unset or unrecognized -> kSoaQuantized).
-/// Non-auto requests pass through unchanged. Read per call so operators and
-/// tests can flip the knob without rebuilding resolution caches (same
-/// contract as ResolveKernel / PBSM_SIMD).
-NodeLayout ResolveNodeLayout(NodeLayout requested);
-
-/// Cache-key tag of a resolved layout, versioned by the ribbon format
-/// ("aos" / "soa.v1" / "q16.v1"). The IndexCache keys entries on this so a
-/// tree built before a layout-knob change — or before a ribbon format
-/// change across binary versions — is never served where a different
-/// ribbon is expected. Bump the version suffix whenever the ribbon
-/// build/quantization scheme changes semantics.
-std::string_view NodeLayoutCacheTag(NodeLayout resolved);
 
 }  // namespace pbsm
 

@@ -44,11 +44,11 @@ struct RTreeStats {
 ///  * `BulkLoad` — Hilbert-sorted bottom-up packing, the Paradise mechanism
 ///    the paper insists on (§1: 109.9 s bulk load vs 864.5 s inserts).
 ///
-/// Bulk-loaded trees additionally carry in-memory SoA "ribbons" of the node
-/// entries (rtree/node_ribbon.h) unless the layout knob says otherwise, so
-/// WindowQuery and the BKS93 tree join scan nodes with the vector kernels
-/// without re-parsing pages. Insert/Delete invalidate the ribbons and drop
-/// back to the AoS page-scan path.
+/// Bulk-loaded trees additionally carry in-memory quantized "ribbons" of the
+/// node entries (rtree/node_ribbon.h), so WindowQuery and the BKS93 tree
+/// join scan nodes with the vector kernels without re-parsing pages.
+/// Insert/Delete invalidate the ribbons and drop back to the AoS page-scan
+/// path.
 class RStarTree {
  public:
   /// Creates an empty tree in a new file `name`.
@@ -58,12 +58,12 @@ class RStarTree {
   /// are Hilbert-sorted by MBR center over their minimum cover, packed into
   /// leaves at `fill_factor`, and upper levels are packed the same way.
   /// `layout` selects the in-memory node representation built alongside the
-  /// pages (rtree/node_layout.h); kAuto consults PBSM_RTREE_LAYOUT.
+  /// pages (rtree/node_layout.h); kAos is the page-scan baseline.
   /// Convenience wrapper over BulkLoadSorted for in-memory entry sets.
-  static Result<RStarTree> BulkLoad(BufferPool* pool, const std::string& name,
-                                    std::vector<RTreeEntry> entries,
-                                    double fill_factor = 0.75,
-                                    NodeLayout layout = NodeLayout::kAuto);
+  static Result<RStarTree> BulkLoad(
+      BufferPool* pool, const std::string& name,
+      std::vector<RTreeEntry> entries, double fill_factor = 0.75,
+      NodeLayout layout = NodeLayout::kSoaQuantized);
 
   /// Yields the next entry in spatial sort order; false at end of stream.
   using EntryStream = std::function<Result<bool>(RTreeEntry*)>;
@@ -71,14 +71,12 @@ class RStarTree {
   /// Streaming bottom-up packer: consumes entries already in spatial sort
   /// order (e.g. from an external sort that respected the operator's memory
   /// budget) and packs leaves and upper levels at `fill_factor`. Only one
-  /// level of parent entries is held in memory (plus, for non-AoS layouts,
-  /// the per-node ribbons built after packing).
-  static Result<RStarTree> BulkLoadSorted(BufferPool* pool,
-                                          const std::string& name,
-                                          const EntryStream& next,
-                                          double fill_factor = 0.75,
-                                          NodeLayout layout =
-                                              NodeLayout::kAuto);
+  /// level of parent entries is held in memory (plus, unless kAos, the
+  /// per-node ribbons built after packing).
+  static Result<RStarTree> BulkLoadSorted(
+      BufferPool* pool, const std::string& name, const EntryStream& next,
+      double fill_factor = 0.75,
+      NodeLayout layout = NodeLayout::kSoaQuantized);
 
   RStarTree(RStarTree&&) = default;
   RStarTree& operator=(RStarTree&&) = default;
@@ -109,8 +107,8 @@ class RStarTree {
 
   Result<RTreeStats> ComputeStats() const;
 
-  /// (Re)builds the in-memory node ribbons for the resolved layout by
-  /// walking the tree once; kAos clears them. Called by the bulk loaders;
+  /// (Re)builds the in-memory node ribbons for `layout` by walking the
+  /// tree once; kAos clears them. Called by the bulk loaders;
   /// exposed so a caller can re-accelerate a tree after mutations. Must not
   /// race with concurrent readers — build before sharing the tree.
   Status BuildRibbons(NodeLayout layout);

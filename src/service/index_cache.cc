@@ -37,12 +37,8 @@ IndexCache::~IndexCache() {
 std::string IndexCache::Key(const JoinInput& input, double fill_factor) {
   // The fill factor participates because trees packed differently are
   // different indexes; rounded to 1e-3 so float noise cannot fragment keys.
-  // The node-layout tag participates (versioned, see NodeLayoutCacheTag)
-  // so a tree built under one PBSM_RTREE_LAYOUT setting — or an older
-  // ribbon format — is never served where a different layout is expected.
   return input.info.name + "#" + std::to_string(input.info.file) + "@" +
-         std::to_string(static_cast<int>(fill_factor * 1000.0)) + "!" +
-         std::string(NodeLayoutCacheTag(ResolveNodeLayout(NodeLayout::kAuto)));
+         std::to_string(static_cast<int>(fill_factor * 1000.0));
 }
 
 IndexCache::Shard& IndexCache::ShardFor(const std::string& key) {

@@ -104,31 +104,27 @@ PlanChoice PlanJoin(const PlannerSide& r, const PlannerSide& s,
   };
 
   const double pbsm_filter = c.pbsm_per_tuple * n_total;
-  // The candidate merge-dedup only exists under DedupMode::kMerge; the
-  // default two-layer filter emits each candidate exactly once and has no
-  // such phase.
+  // The candidate merge-dedup only exists in the serial PBSM filter under
+  // DedupMode::kMerge; the two-layer filter emits each candidate exactly
+  // once and has no such phase.
   const double merge_dedup = c.dedup_mode == DedupMode::kMerge
                                  ? c.merge_dedup_per_candidate * candidates
                                  : 0.0;
   add(JoinMethod::kPbsm, pbsm_filter + merge_dedup + refine);
 
-  // Parallel PBSM: near-linear filter+refine speedup minus a per-tuple
-  // coordination tax. At threads == 1 this is strictly pbsm + overhead, so
-  // the serial executor wins on a single-core host. The merge-dedup term
-  // stays outside the speedup divisor — it is a serial phase in the
-  // executor too.
+  // Parallel PBSM (always two-layer): near-linear filter+refine speedup
+  // minus a per-tuple coordination tax. At threads == 1 this is strictly
+  // two-layer pbsm + overhead, so under the default dedup mode the serial
+  // executor wins on a single-core host.
   const double speedup = 1.0 + c.parallel_scaling * (threads - 1);
   add(JoinMethod::kParallelPbsm,
-      (pbsm_filter + refine) / speedup + merge_dedup +
+      (pbsm_filter + refine) / speedup +
           c.parallel_overhead_per_tuple * n_total);
 
-  // Index scans run ~2x faster on the in-memory SoA ribbons (the bulk-load
-  // default) than on AoS page parsing; discount the traversal/probe terms
+  // Index scans run on the quantized ribbons every bulk load builds, ~2x
+  // faster than AoS page parsing; discount the traversal/probe terms
   // accordingly so the index methods are not overcosted on warm caches.
-  const double node_scan =
-      ResolveNodeLayout(c.node_layout) != NodeLayout::kAos
-          ? c.simd_node_scan_factor
-          : 1.0;
+  const double node_scan = c.simd_node_scan_factor;
 
   // R-tree join: build whatever is not cached, then synchronized traversal.
   add(JoinMethod::kRtree,

@@ -7,7 +7,6 @@
 #include "core/refinement_engine.h"
 #include "core/selectivity.h"
 #include "core/spatial_join.h"
-#include "rtree/node_layout.h"
 #include "service/shard_manager.h"
 #include "storage/catalog.h"
 
@@ -82,26 +81,21 @@ struct PlannerCosts {
   double rtree_traverse_per_tuple = 3.0e-7;
   double inl_probe_log = 3.0e-6;         ///< x n_probe*log2(n_indexed).
 
-  /// Node layout the index methods will run with; mirrors
-  /// JoinOptions::rtree_layout (same default — kAuto resolves through
-  /// PBSM_RTREE_LAYOUT at costing time).
-  NodeLayout node_layout = NodeLayout::kAuto;
-  /// Discount on the index-scan terms (rtree traversal, INL probes) when
-  /// node scans run on the in-memory SoA ribbons instead of AoS page
-  /// parsing — calibrated from bench_micro_rtree --compare-layouts, where
-  /// the ribbon probe path runs at >= 2x the AoS path.
+  /// Discount on the index-scan terms (rtree traversal, INL probes): node
+  /// scans of bulk-loaded trees run on the in-memory quantized ribbons
+  /// instead of AoS page parsing — calibrated from bench_micro_rtree
+  /// --compare-layouts, where the ribbon probe path runs at >= 2x the AoS
+  /// path.
   double simd_node_scan_factor = 0.5;
   double hash_per_tuple = 2.3e-6;
   double zorder_per_tuple = 2.0e-6;
   double zorder_candidate_inflation = 4.0;  ///< Z-cell false-positive factor.
 
   /// Merge-dedup of one candidate pair — the phase the two-layer filter
-  /// deletes. Charged to the PBSM methods only under DedupMode::kMerge,
-  /// and *not* divided by the parallel speedup: the executor's k-way merge
-  /// is a serial phase, which is exactly why eliminating it matters more
-  /// as threads grow (Amdahl).
+  /// deletes. Charged to serial pbsm only, under DedupMode::kMerge (the
+  /// parallel executor is always two-layer).
   double merge_dedup_per_candidate = 1.1e-6;
-  /// Dedup scheme the PBSM executors will run with; mirrors
+  /// Dedup scheme the serial PBSM filter will run with; mirrors
   /// JoinOptions::dedup_mode (same default).
   DedupMode dedup_mode = DedupMode::kTwoLayer;
 

@@ -587,10 +587,13 @@ Status JoinRouter::ExecuteSubJoin(const QueryRef& query, uint32_t shard_id,
         spec.options.refine.grid_order == 0) {
       spec.options.refine.grid_order = plan.grid_order;
     }
+    // The first planned sub-join names the query's method: an empty slice
+    // returns above without running a join, so it never reports one.
     std::lock_guard<std::mutex> lock(query->mutex_);
     query->response_.planner_chosen = true;
     if (query->response_.plan.empty()) {
       query->response_.plan = ShardTag(shard_id) + " " + plan.ToString();
+      query->response_.method = plan.method;
     }
   }
   slice->method = spec.method;
@@ -686,10 +689,6 @@ void JoinRouter::CompleteSub(const SubJoinRef& sub, const Status& status,
     if (slice != nullptr) {
       query->response_.shard_slices.push_back(*slice);
       query->response_.num_results += slice->num_results;
-      if (query->response_.shard_slices.size() == 1 &&
-          !query->request_.method.has_value()) {
-        query->response_.method = slice->method;
-      }
     }
     if (!status.ok() && query->first_bad_.ok()) query->first_bad_ = status;
     PBSM_CHECK(query->remaining_ > 0);

@@ -91,7 +91,9 @@ struct ShardSliceStats {
 
 /// What a completed query reports back.
 struct JoinResponse {
-  JoinMethod method = JoinMethod::kPbsm;  ///< First finished sub-join's.
+  /// The forced method, else the method of the first planned sub-join
+  /// (the one `plan` shows). kPbsm when every slice was empty.
+  JoinMethod method = JoinMethod::kPbsm;
   bool planner_chosen = false;
   /// "shardN: <cost table>" of the first planned sub-join, when the
   /// planner chose.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Drives `spatial_join_cli serve` over the built-in demo's WKT files at
 # --shards=1 and --shards=3: both must answer join, explain and per-shard
-# stats, and report the same join result count.
+# stats, and report the same join result count. Sub-joins run serial, so
+# the planned explain at --shards=3 must not pick parallel_pbsm.
 #
 # Usage: cli_serve_test.sh path/to/spatial_join_cli
 set -u
@@ -23,7 +24,7 @@ cp /tmp/pbsm_cli_demo/parks.wkt /tmp/pbsm_cli_demo/lakes.wkt "$work/" ||
 # Serves the demo at $1 shards and prints the join's result count.
 serve() {
   out="$work/serve$1.out"
-  printf 'join intersects auto\nexplain contains pbsm\nstats\nquit\n' |
+  printf 'join intersects auto\nexplain contains pbsm\nexplain intersects auto\nstats\nquit\n' |
     "$cli" serve "$work/parks.wkt" "$work/lakes.wkt" --shards="$1" \
       > "$out" || fail "serve --shards=$1 exited non-zero"
   grep -q '^OK [0-9][0-9]* results .*shards=' "$out" ||
@@ -39,6 +40,14 @@ serve() {
 
 one=$(serve 1) || exit 1
 three=$(serve 3) || exit 1
+grep -q '^EXPLAIN method=.* (planned)' "$work/serve3.out" ||
+  fail "--shards=3: no planned EXPLAIN line"
+# A chosen method opens its shard's cost table, names a slice's method or
+# a parallel operator; parallel_pbsm may only appear as a costed loser.
+if grep -Eq '^shard[0-9]+: parallel_pbsm\(|method=parallel_pbsm|parallel_pbsm R x S' \
+  "$work/serve3.out"; then
+  fail "--shards=3: a serial sub-join planned parallel_pbsm"
+fi
 [ "$one" = "$three" ] || fail "result count $one at 1 shard, $three at 3"
 # Each of the two parks intersects exactly one lake.
 [ "$one" = "2" ] || fail "expected 2 results, got $one"

@@ -162,46 +162,6 @@ TEST_F(IndexCacheTest, ConcurrentRequestsBuildExactlyOnce) {
   }
 }
 
-TEST_F(IndexCacheTest, NodeLayoutVersionsTheCacheKey) {
-  // A tree built under one PBSM_RTREE_LAYOUT setting must never be served
-  // to a request expecting a different layout: the layout tag is part of
-  // the cache key, so flipping the knob reads as a miss and a rebuild —
-  // the same mechanism that retires stale ribbon formats when the tag's
-  // version suffix ("q16.v1") is bumped.
-  StorageEnv env(2048 * kPageSize);
-  PBSM_ASSERT_OK_AND_ASSIGN(
-      auto road, LoadRelation(env.pool(), nullptr, "road", roads_));
-  IndexCache cache(env.pool(), {});
-  const uint64_t misses0 = cache.misses();
-
-  ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "quantized", 1), 0);
-  PBSM_ASSERT_OK_AND_ASSIGN(IndexCache::TreeRef quantized,
-                            cache.GetOrBuild(road.AsInput(), kFill));
-  EXPECT_EQ(quantized->layout(), NodeLayout::kSoaQuantized);
-  EXPECT_TRUE(cache.Contains(road.AsInput(), kFill));
-  EXPECT_EQ(cache.misses() - misses0, 1u);
-
-  // Same dataset, same fill factor, different layout: a distinct entry.
-  ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "aos", 1), 0);
-  EXPECT_FALSE(cache.Contains(road.AsInput(), kFill));
-  PBSM_ASSERT_OK_AND_ASSIGN(IndexCache::TreeRef aos,
-                            cache.GetOrBuild(road.AsInput(), kFill));
-  EXPECT_EQ(aos->layout(), NodeLayout::kAos);
-  EXPECT_EQ(aos->ribbon(aos->root_page()), nullptr);
-  EXPECT_NE(aos.get(), quantized.get());
-  EXPECT_EQ(cache.misses() - misses0, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Flipping back hits the original quantized entry — no rebuild.
-  ASSERT_EQ(setenv("PBSM_RTREE_LAYOUT", "quantized", 1), 0);
-  const uint64_t hits0 = cache.hits();
-  PBSM_ASSERT_OK_AND_ASSIGN(IndexCache::TreeRef again,
-                            cache.GetOrBuild(road.AsInput(), kFill));
-  EXPECT_EQ(again.get(), quantized.get());
-  EXPECT_EQ(cache.hits() - hits0, 1u);
-  ASSERT_EQ(unsetenv("PBSM_RTREE_LAYOUT"), 0);
-}
-
 TEST_F(IndexCacheTest, NoPinnedFramesAfterTeardown) {
   StorageEnv env(2048 * kPageSize);
   PBSM_ASSERT_OK_AND_ASSIGN(

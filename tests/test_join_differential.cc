@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/index_build.h"
 #include "datagen/tiger_gen.h"
 #include "service/join_router.h"
 #include "service/shard_manager.h"
@@ -93,9 +94,10 @@ TEST_F(JoinDifferentialTest, AllMethodsMatchBruteForceOracleAcrossSweep) {
       SCOPED_TRACE(simd == SimdMode::kScalar ? "simd=scalar" : "simd=avx2");
       for (const JoinMethod method : AllJoinMethods()) {
         SCOPED_TRACE(JoinMethodName(method));
-        // The dedup knob belongs to the PBSM methods: exercise both the
-        // two-layer (duplicate-free) and merge-dedup filters there; the
-        // other methods ignore it and run once.
+        // The dedup knob belongs to serial PBSM: exercise both the
+        // two-layer (duplicate-free) and merge-dedup filters there, and
+        // check parallel PBSM stays exact when handed kMerge (it ignores
+        // the knob); the other methods ignore it and run once.
         const bool pbsm_family = method == JoinMethod::kPbsm ||
                                  method == JoinMethod::kParallelPbsm;
         std::vector<DedupMode> modes = {DedupMode::kTwoLayer};
@@ -138,11 +140,13 @@ TEST_F(JoinDifferentialTest, AllMethodsMatchBruteForceOracleAcrossSweep) {
 }
 
 // The node-layout axis for the index-based methods: INL probes and the
-// BKS93 tree join must be oracle-exact under every in-memory node layout
-// (AoS page scans, SoA double ribbons, quantized uint16 ribbons) crossed
-// with both filter kernels. This is the end-to-end check that the
+// BKS93 tree join must be oracle-exact over pre-existing trees of both
+// in-memory node layouts (AoS page scans, quantized uint16 ribbons)
+// crossed with both filter kernels. This is the end-to-end check that the
 // quantized prefilter's re-verification step loses nothing and invents
-// nothing — through real trees, real candidates, real refinement.
+// nothing — through real trees, real candidates, real refinement — and
+// keeps join-level coverage of the page-scan traversal that
+// Insert/Delete-mutated trees fall back to.
 TEST_F(JoinDifferentialTest, IndexMethodsMatchOracleAcrossNodeLayouts) {
   const std::vector<SweepCase> sweep = MakeSweep();
   // Three cases give predicate/clustering variety; layouts are orthogonal
@@ -169,21 +173,43 @@ TEST_F(JoinDifferentialTest, IndexMethodsMatchOracleAcrossNodeLayouts) {
         LoadRelation(env.pool(), nullptr, "hydro", hydro, c.clustered));
 
     for (const NodeLayout layout :
-         {NodeLayout::kAos, NodeLayout::kSoa, NodeLayout::kSoaQuantized}) {
-      SCOPED_TRACE(std::string("layout=") +
-                   std::string(NodeLayoutName(layout)));
+         {NodeLayout::kAos, NodeLayout::kSoaQuantized}) {
+      const std::string name(NodeLayoutName(layout));
+      SCOPED_TRACE("layout=" + name);
+      auto build = [&](const StoredRelation& rel,
+                       const std::string& file) -> Result<RStarTree> {
+        PBSM_ASSIGN_OR_RETURN(std::vector<RTreeEntry> entries,
+                              ExtractKeyPointers(rel.heap));
+        return RStarTree::BulkLoad(env.pool(), file, std::move(entries), 0.75,
+                                   layout);
+      };
+      PBSM_ASSERT_OK_AND_ASSIGN(const RStarTree r_tree,
+                                build(r, "r_" + name + ".rtree"));
+      PBSM_ASSERT_OK_AND_ASSIGN(const RStarTree s_tree,
+                                build(s, "s_" + name + ".rtree"));
+      ASSERT_EQ(r_tree.layout(), layout);
+      ASSERT_EQ(s_tree.layout(), layout);
       for (const SimdMode simd : {SimdMode::kScalar, SimdMode::kAvx2}) {
         SCOPED_TRACE(simd == SimdMode::kScalar ? "simd=scalar" : "simd=avx2");
-        for (const JoinMethod method :
-             {JoinMethod::kInl, JoinMethod::kRtree}) {
-          SCOPED_TRACE(JoinMethodName(method));
+        // INL over either side's index, and the tree join over both.
+        const struct {
+          JoinMethod method;
+          const RStarTree* r_index;
+          const RStarTree* s_index;
+          const char* label;
+        } runs[] = {{JoinMethod::kInl, &r_tree, nullptr, "inl r_index"},
+                    {JoinMethod::kInl, nullptr, &s_tree, "inl s_index"},
+                    {JoinMethod::kRtree, &r_tree, &s_tree, "rtree"}};
+        for (const auto& run : runs) {
+          SCOPED_TRACE(run.label);
           JoinSpec spec;
-          spec.method = method;
+          spec.method = run.method;
           spec.predicate = c.pred;
           spec.options.memory_budget_bytes = 1 << 20;
           spec.options.num_threads = c.num_threads;
           spec.options.simd = simd;
-          spec.options.rtree_layout = layout;
+          spec.r_index = run.r_index;
+          spec.s_index = run.s_index;
           PBSM_ASSERT_OK_AND_ASSIGN(const IdPairSet got,
                                     RunJoinToIdPairs(env.pool(), r, s, spec));
           EXPECT_EQ(got, expected);

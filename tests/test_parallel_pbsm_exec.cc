@@ -124,24 +124,6 @@ TEST_F(ParallelPbsmExecTest, MatchesSerialAcrossThreadCountsAndSweeps) {
   }
 }
 
-TEST_F(ParallelPbsmExecTest, TinyBudgetTriggersRepartitioning) {
-  const PairSet expected =
-      SerialReference(SweepAlgorithm::kForwardSweep, 1 << 20);
-  JoinOptions opts;
-  // One partition holding everything + a budget far below its key-pointer
-  // footprint forces the in-memory §3.5 repartition path, which only the
-  // merge-dedup mode has (two-layer partitions are processed whole).
-  opts.dedup_mode = DedupMode::kMerge;
-  opts.memory_budget_bytes = 16 << 10;
-  opts.num_partitions_override = 1;
-  opts.num_threads = 4;
-  PairSet got;
-  auto result = RunParallel(opts, &got);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->breakdown.repartitioned_pairs, 0u);
-  EXPECT_EQ(got, expected);
-}
-
 TEST_F(ParallelPbsmExecTest, DefaultThreadCountUsesHardwareConcurrency) {
   JoinOptions opts;
   opts.memory_budget_bytes = 1 << 20;
@@ -164,32 +146,27 @@ TEST_F(ParallelPbsmExecTest, PartitionOverrideIsRespected) {
 }
 
 // The balance metric counts key pointers per partition, so thread timing
-// cannot move it: two runs of one configuration agree exactly, in both
-// dedup modes.
+// cannot move it: two runs of one configuration agree exactly.
 TEST_F(ParallelPbsmExecTest, SweepBalanceIsDeterministic) {
-  for (const DedupMode dedup : {DedupMode::kTwoLayer, DedupMode::kMerge}) {
-    JoinOptions opts;
-    opts.dedup_mode = dedup;
-    opts.memory_budget_bytes = 1 << 20;
-    opts.num_threads = 4;
-    opts.num_tiles = 64;
-    ParallelJoinStats first, second;
-    ASSERT_TRUE(RunParallel(opts, nullptr, &first).ok());
-    ASSERT_TRUE(RunParallel(opts, nullptr, &second).ok());
-    EXPECT_GT(first.SweepBalanceCov(), 0.0);
-    EXPECT_EQ(first.SweepBalanceCov(), second.SweepBalanceCov());
-    EXPECT_EQ(first.sweep_task_key_pointers, second.sweep_task_key_pointers);
-  }
+  JoinOptions opts;
+  opts.memory_budget_bytes = 1 << 20;
+  opts.num_threads = 4;
+  opts.num_tiles = 64;
+  ParallelJoinStats first, second;
+  ASSERT_TRUE(RunParallel(opts, nullptr, &first).ok());
+  ASSERT_TRUE(RunParallel(opts, nullptr, &second).ok());
+  EXPECT_GT(first.SweepBalanceCov(), 0.0);
+  EXPECT_EQ(first.SweepBalanceCov(), second.SweepBalanceCov());
+  EXPECT_EQ(first.sweep_task_key_pointers, second.sweep_task_key_pointers);
 }
 
 TEST_F(ParallelPbsmExecTest, CostBreakdownHasAllPhases) {
-  // Default (two-layer) mode: no merge phase exists — its absence from the
-  // breakdown is the observable contract of duplicate-free filtering.
+  // No merge phase exists — its absence from the breakdown is the
+  // observable contract of duplicate-free filtering.
   JoinOptions opts;
   opts.memory_budget_bytes = 1 << 20;
   opts.num_threads = 2;
-  ParallelJoinStats stats;
-  auto result = RunParallel(opts, nullptr, &stats);
+  auto result = RunParallel(opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const JoinCostBreakdown& cost = result->breakdown;
   ASSERT_EQ(cost.phases.size(), 3u);
@@ -198,25 +175,26 @@ TEST_F(ParallelPbsmExecTest, CostBreakdownHasAllPhases) {
   EXPECT_EQ(cost.phases[2].first, "refinement");
   EXPECT_GT(cost.candidates, 0u);
   EXPECT_EQ(cost.duplicates_removed, 0u);
-  EXPECT_EQ(stats.merge_wall_seconds, 0.0);
   EXPECT_GT(cost.Total().cpu_seconds, 0.0);
 }
 
-TEST_F(ParallelPbsmExecTest, MergeModeCostBreakdownHasMergePhase) {
+TEST_F(ParallelPbsmExecTest, MergeDedupModeIsIgnored) {
+  // The merge-dedup reference point is the serial PBSM filter; the
+  // parallel executor runs the two-layer filter under either mode and
+  // returns the same pairs.
   JoinOptions opts;
-  opts.dedup_mode = DedupMode::kMerge;
   opts.memory_budget_bytes = 1 << 20;
   opts.num_threads = 2;
-  auto result = RunParallel(opts);
+  PairSet two_layer, merge;
+  ASSERT_TRUE(RunParallel(opts, &two_layer).ok());
+  opts.dedup_mode = DedupMode::kMerge;
+  auto result = RunParallel(opts, &merge);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const JoinCostBreakdown& cost = result->breakdown;
-  ASSERT_EQ(cost.phases.size(), 4u);
-  EXPECT_EQ(cost.phases[0].first, "partition inputs");
-  EXPECT_EQ(cost.phases[1].first, "sweep partitions");
-  EXPECT_EQ(cost.phases[2].first, "merge candidates");
-  EXPECT_EQ(cost.phases[3].first, "refinement");
-  EXPECT_GT(cost.candidates, 0u);
-  EXPECT_GT(cost.Total().cpu_seconds, 0.0);
+  EXPECT_EQ(merge, two_layer);
+  EXPECT_EQ(merge,
+            SerialReference(SweepAlgorithm::kForwardSweep, 1 << 20));
+  ASSERT_EQ(result->breakdown.phases.size(), 3u);
+  EXPECT_EQ(result->breakdown.phases[1].first, "filter partitions");
 }
 
 }  // namespace

@@ -13,9 +13,10 @@
 //    cell and witness tests cannot miss;
 //  * classification soundness — the engine's kHit/kMiss verdicts never
 //    contradict the exact predicate;
-//  * curve hierarchy — a coarse Hilbert/Z cell is one contiguous key
+//  * curve hierarchy — a coarse Hilbert cell is one contiguous key
 //    interval at the finest order (what lets coarse per-object cells become
-//    CellRuns).
+//    CellRuns); Z-order, which SpaceFillingCurve also offers, is checked
+//    alongside.
 
 #include "core/refinement_engine.h"
 
@@ -143,7 +144,7 @@ TEST_F(RefinementFuzzTest, OccupancyBitsAreOverInclusive) {
   for (int iter = 0; iter < 120; ++iter) {
     const uint32_t order = 4 + static_cast<uint32_t>(rng.Uniform(6));
     const uint32_t max_cells = 16u << rng.Uniform(5);
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = RandomGeometry(&rng, universe_);
     CellCover cover;
     RasterizeGeometry(g, grid, max_cells, &cover);
@@ -176,7 +177,7 @@ TEST_F(RefinementFuzzTest, InteriorBitsAreUnderInclusive) {
   uint64_t interior_cells = 0;
   for (int iter = 0; iter < 80; ++iter) {
     const uint32_t order = 5 + static_cast<uint32_t>(rng.Uniform(5));
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = RandomPolygon(&rng, universe_, rng.Bernoulli(0.5));
     CellCover cover;
     RasterizeGeometry(g, grid, /*max_cells=*/256, &cover);
@@ -220,7 +221,7 @@ TEST_F(RefinementFuzzTest, SegmentBucketsAreComplete) {
   uint64_t bucketed_hits = 0;
   for (int iter = 0; iter < 120; ++iter) {
     const uint32_t order = 4 + static_cast<uint32_t>(rng.Uniform(6));
-    const CellGrid grid(universe_, order, SpaceFillingCurve::Kind::kHilbert);
+    const CellGrid grid(universe_, order);
     const Geometry g = rng.Bernoulli(0.5)
                            ? RandomPolygon(&rng, universe_, rng.Bernoulli(0.3))
                            : RandomPolyline(&rng, universe_);
@@ -334,10 +335,10 @@ TEST_F(RefinementFuzzTest, ClassificationNeverContradictsExactOracle) {
 }
 
 TEST_F(RefinementFuzzTest, CurveHierarchyIsPrefixContiguous) {
-  // CellRun's coarse-cell encoding assumes both curves are hierarchical: a
-  // cell at order k covers exactly the finest-order keys
+  // CellRun's coarse-cell encoding assumes the Hilbert curve is
+  // hierarchical: a cell at order k covers exactly the finest-order keys
   // [key_k * 4^(n-k), (key_k + 1) * 4^(n-k)). Verified exhaustively per
-  // sampled coarse cell for both curves.
+  // sampled coarse cell, for Z-order too.
   Rng rng(kFuzzSeed + 4);
   for (int iter = 0; iter < 200; ++iter) {
     const uint32_t n = 4 + static_cast<uint32_t>(rng.Uniform(7));  // 4..10.

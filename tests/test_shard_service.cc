@@ -138,6 +138,51 @@ TEST_F(ShardServiceTest, ScatterGatherMatchesOracleForcedAndPlanned) {
   ExpectZeroPinnedPerShard(env);
 }
 
+// An empty slice returns without running a join. The response must name
+// the method the non-empty slice ran, not the empty slice's placeholder,
+// even though the empty slice finishes first.
+TEST_F(ShardServiceTest, ResponseMethodComesFromASliceThatRan) {
+  // Hydro only in the leftmost fifth of the road extent: the layout cuts
+  // strips on road (registered first), so the right strips get no hydro.
+  Rect extent;
+  for (const Tuple& t : roads_) extent.Expand(t.geometry.Mbr());
+  const double cut = extent.xlo + extent.width() / 5;
+  std::vector<Tuple> left;
+  for (const Tuple& t : hydro_) {
+    if (t.geometry.Mbr().xhi < cut) left.push_back(t);
+  }
+  ASSERT_FALSE(left.empty());
+  hydro_ = std::move(left);
+  Env env;
+  Start(&env, 3);
+  PBSM_ASSERT_OK_AND_ASSIGN(const ShardManager::ShardDatasetRef last,
+                            env.shards->FindDataset(2, "hydro"));
+  ASSERT_EQ(last->info.cardinality, 0u);
+
+  // Four threads per sub-join make the planner pick parallel_pbsm on the
+  // non-empty slice, unlike the empty slices' kPbsm placeholder.
+  JoinRouterConfig config;
+  config.join_defaults.num_threads = 4;
+  JoinRouter router(&*env.shards, config);
+  JoinRequest request;
+  request.r_dataset = "road";
+  request.s_dataset = "hydro";
+  JoinResponse response;
+  PBSM_ASSERT_OK_AND_ASSIGN(const IdPairSet got,
+                            RunToIdPairs(&router, &env, request, &response));
+  EXPECT_EQ(got, BruteForceJoin(roads_, hydro_, SpatialPredicate::kIntersects));
+  ASSERT_EQ(response.shard_slices.size(), 3u);
+  const ShardSliceStats* ran = nullptr;
+  for (const ShardSliceStats& slice : response.shard_slices) {
+    if (slice.shard == 0) ran = &slice;
+  }
+  ASSERT_NE(ran, nullptr);
+  EXPECT_EQ(ran->method, JoinMethod::kParallelPbsm);
+  EXPECT_EQ(response.method, ran->method);
+  EXPECT_EQ(response.plan.rfind("shard0:", 0), 0u) << response.plan;
+  router.Shutdown(/*drain=*/true);
+}
+
 TEST_F(ShardServiceTest, ConcurrentMultiClientScatterGather) {
   Env env;
   Start(&env, 4);
